@@ -54,10 +54,10 @@ BENCHMARK(BM_ThermalStep)->Arg(1)->Arg(2)->Arg(4);
 
 // --- ThermalGrid::step: edge-checked reference vs. flat neighbor tables ------
 // step() used to walk nested row/col loops with four boundary branches
-// per node; the grid now precomputes flat neighbor-index/conductance
-// arrays and runs one branch-free loop. This reference reproduces the old
-// inner loop (same math, same constants) so the pair measures exactly the
-// hot-path rewrite.
+// per node; the grid now precomputes slot-major neighbor-index and
+// conductance planes and runs branch-free loops. This reference
+// reproduces the old inner loop (same math, same constants) so the pair
+// measures exactly the hot-path rewrite.
 
 struct ReferenceStepper {
   const machine::Floorplan* fp;

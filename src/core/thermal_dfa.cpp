@@ -105,12 +105,6 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
 
   const double cycle_s = tech.cycle_seconds();
 
-  // --strict-math pins the transient kernel to the bit-identical
-  // reference tier no matter how the grid was constructed.
-  const thermal::StepKernel step_kernel = config_.strict_math
-                                              ? thermal::StepKernel::kReference
-                                              : grid_->step_kernel();
-
   // --- Fig. 2 main loop ------------------------------------------------------
   // Do { stop = true; for each block, for each instruction in forward
   // order: estimate thermal state after I; if change exceeds δ, stop =
@@ -191,7 +185,7 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
         // window (same average power, frequency-scaled duration).
         const double dt = static_cast<double>(timing_.cycles(inst)) *
                           cycle_s * block_freq;
-        grid_->step_with(step_kernel, state, p, dt);
+        grid_->step(state, p, dt);
 
         // δ test against the previous iteration's state after I.
         const std::size_t dense = block_first[b] + i;
@@ -264,27 +258,6 @@ ThermalDfaResult ThermalDfa::analyze(
     const ir::Function& func, const AccessDistributionModel& model) const {
   pipeline::AnalysisManager am;
   return analyze(func, model, am);
-}
-
-std::vector<CandidateThermal> ThermalDfa::evaluate_power_candidates(
-    std::span<const std::vector<double>> candidate_powers,
-    const thermal::ThermalState* warm_start, double tolerance_k) const {
-  std::vector<thermal::SteadyStateInfo> infos;
-  const std::vector<thermal::ThermalState> states = grid_->steady_state_batch(
-      candidate_powers, tolerance_k, warm_start, &infos);
-  std::vector<CandidateThermal> out;
-  out.reserve(states.size());
-  for (std::size_t lane = 0; lane < states.size(); ++lane) {
-    CandidateThermal c;
-    c.reg_temps_k = grid_->register_temps(states[lane]);
-    c.peak_k = c.reg_temps_k.empty()
-                   ? grid_->substrate_temp()
-                   : *std::max_element(c.reg_temps_k.begin(),
-                                       c.reg_temps_k.end());
-    c.sweeps = infos[lane].sweeps;
-    out.push_back(std::move(c));
-  }
-  return out;
 }
 
 ThermalDfaResult ThermalDfa::analyze_post_ra(

@@ -58,12 +58,6 @@ struct ThermalDfaConfig {
   bool include_leakage = true;
   /// Merge operator at control-flow joins.
   JoinMode join_mode = JoinMode::kWeightedMean;
-  /// Force the bit-identical reference thermal kernel regardless of the
-  /// grid's constructed tier (the CLI's --strict-math). Folded into the
-  /// ResultCache context digest only when set, so strict runs never share
-  /// cache entries with fast-tier runs while default-config digests stay
-  /// unchanged.
-  bool strict_math = false;
 };
 
 /// Thermal state predicted after one instruction (cell granularity).
@@ -74,17 +68,6 @@ struct InstructionThermal {
 
   friend bool operator==(const InstructionThermal&,
                          const InstructionThermal&) = default;
-};
-
-/// Steady-state thermal outcome of one candidate power vector, from
-/// evaluate_power_candidates().
-struct CandidateThermal {
-  std::vector<double> reg_temps_k;
-  double peak_k = 0;
-  int sweeps = 0;
-
-  friend bool operator==(const CandidateThermal&,
-                         const CandidateThermal&) = default;
 };
 
 struct ThermalDfaResult {
@@ -134,17 +117,6 @@ class ThermalDfa {
                            pipeline::AnalysisManager& am) const;
   ThermalDfaResult analyze(const ir::Function& func,
                            const AccessDistributionModel& model) const;
-
-  /// Evaluates candidate per-register power vectors (watts, one entry per
-  /// physical register each) in a single batched steady-state solve over
-  /// the grid's shared tables — the fast way to compare placement or
-  /// gating alternatives. Optionally warm-started from a prior state
-  /// (e.g. the analysis exit state); the batch solver's per-lane math is
-  /// reference-exact, so results are independent of the grid's tier.
-  std::vector<CandidateThermal> evaluate_power_candidates(
-      std::span<const std::vector<double>> candidate_powers,
-      const thermal::ThermalState* warm_start = nullptr,
-      double tolerance_k = 1e-9) const;
 
   /// Convenience: post-RA exact analysis.
   ThermalDfaResult analyze_post_ra(const ir::Function& func,

@@ -333,13 +333,6 @@ std::uint64_t ResultCache::context_digest(const PipelineContext& ctx) {
   h.mix(static_cast<std::uint64_t>(ctx.dfa_config.include_leakage));
   h.mix(static_cast<std::uint64_t>(ctx.dfa_config.join_mode));
   h.mix(ctx.policy_seed);
-  // Mixed only when set so every digest computed before the flag existed
-  // stays valid; a strict-math run must never share a key with a
-  // fast-tier run (the grid digest separates tiers, this separates the
-  // per-run override).
-  if (ctx.dfa_config.strict_math) {
-    h.mix(std::string_view{"dfa.strict_math"});
-  }
   return h.digest();
 }
 

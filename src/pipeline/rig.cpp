@@ -3,24 +3,12 @@
 #include <utility>
 
 namespace tadfa::pipeline {
-namespace {
-
-thermal::StepKernel pick_kernel(const RigOptions& options) {
-  if (options.step_kernel.has_value()) {
-    return *options.step_kernel;
-  }
-  return options.dfa_config.strict_math
-             ? thermal::StepKernel::kReference
-             : thermal::ThermalGrid::default_step_kernel();
-}
-
-}  // namespace
 
 CompileRig::CompileRig(machine::MachineConfig config, RigOptions options)
     : config_(std::move(config)),
       options_(options),
       floorplan_(config_.rf),
-      grid_(floorplan_, options_.subdivision, pick_kernel(options_)),
+      grid_(floorplan_, options_.subdivision),
       power_(floorplan_.config()) {}
 
 PipelineContext CompileRig::context() const {

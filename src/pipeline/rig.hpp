@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/thermal_dfa.hpp"
 #include "machine/floorplan.hpp"
@@ -24,10 +23,6 @@ namespace tadfa::pipeline {
 struct RigOptions {
   /// Thermal grid points per cell edge.
   unsigned subdivision = 1;
-  /// Explicit thermal step kernel; nullopt picks the reference kernel
-  /// under dfa_config.strict_math and the build default otherwise
-  /// (exactly the CLI's --strict-math rule).
-  std::optional<thermal::StepKernel> step_kernel;
   core::ThermalDfaConfig dfa_config;
   std::uint64_t policy_seed = 42;
 };

@@ -83,7 +83,6 @@ pipeline::CompilationDriver& CompileServer::driver_for(
     const machine::MachineConfig* config = machine::find_machine(machine);
     pipeline::RigOptions options;
     options.subdivision = base_ctx_.grid->subdivision();
-    options.step_kernel = base_ctx_.grid->step_kernel();
     options.dfa_config = base_ctx_.dfa_config;
     options.policy_seed = base_ctx_.policy_seed;
     auto built = std::make_unique<MachineDriver>(*config, options);

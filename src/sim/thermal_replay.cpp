@@ -13,23 +13,18 @@ ReplayResult ThermalReplay::replay(const power::AccessTrace& trace,
   TADFA_ASSERT(config.max_repeats >= 1);
   const machine::Floorplan& fp = grid_->floorplan();
   TADFA_ASSERT(trace.num_registers() == fp.num_registers());
-  TADFA_ASSERT(config.warm_start == nullptr ||
-               config.warm_start->node_temps.size() == grid_->node_count());
 
   const double cycle_s = fp.config().tech.cycle_seconds();
   const std::uint64_t duration =
       std::max<std::uint64_t>(trace.duration_cycles(), 1);
 
   ReplayResult result;
-  result.final_state = config.warm_start != nullptr ? *config.warm_start
-                                                    : grid_->initial_state();
+  result.final_state = grid_->initial_state();
   result.peak_reg_temps.assign(fp.num_registers(),
                                grid_->substrate_temp());
 
-  // The settle baseline is the starting state's peak: substrate for a
-  // cold start (register_temps of initial_state is uniformly substrate),
-  // the inherited peak for a warm one — so a chained replay whose
-  // predecessor already settled can settle after a single repeat.
+  // The settle baseline is the starting state's peak: the substrate
+  // temperature, as register_temps reports it for the initial state.
   const auto start_temps = grid_->register_temps(result.final_state);
   double prev_peak =
       *std::max_element(start_temps.begin(), start_temps.end());
@@ -78,117 +73,6 @@ ReplayResult ThermalReplay::replay(const power::AccessTrace& trace,
   result.final_reg_temps = grid_->register_temps(result.final_state);
   result.final_stats = thermal::compute_map_stats(fp, result.final_reg_temps);
   return result;
-}
-
-std::vector<ReplayResult> ThermalReplay::replay_batch(
-    std::span<const power::AccessTrace> traces,
-    const ReplayConfig& config) const {
-  TADFA_ASSERT(config.window_cycles > 0);
-  TADFA_ASSERT(config.max_repeats >= 1);
-  const machine::Floorplan& fp = grid_->floorplan();
-  TADFA_ASSERT(config.warm_start == nullptr ||
-               config.warm_start->node_temps.size() == grid_->node_count());
-  const std::size_t lanes = traces.size();
-  std::vector<ReplayResult> results(lanes);
-  if (lanes == 0) {
-    return results;
-  }
-  for (const power::AccessTrace& trace : traces) {
-    TADFA_ASSERT(trace.num_registers() == fp.num_registers());
-    TADFA_ASSERT(trace.duration_cycles() == traces[0].duration_cycles());
-  }
-
-  const double cycle_s = fp.config().tech.cycle_seconds();
-  const std::uint64_t duration =
-      std::max<std::uint64_t>(traces[0].duration_cycles(), 1);
-
-  // Lanes still integrating, compacted so the batch step sees a dense
-  // span. states[k] belongs to lane active[k]; a lane that settles moves
-  // its state into its result and swaps out of both vectors.
-  std::vector<std::size_t> active(lanes);
-  std::vector<thermal::ThermalState> states;
-  std::vector<double> prev_peak(lanes, 0.0);
-  states.reserve(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    active[lane] = lane;
-    states.push_back(config.warm_start != nullptr ? *config.warm_start
-                                                  : grid_->initial_state());
-    results[lane].peak_reg_temps.assign(fp.num_registers(),
-                                        grid_->substrate_temp());
-    const auto temps = grid_->register_temps(states.back());
-    prev_peak[lane] = *std::max_element(temps.begin(), temps.end());
-  }
-
-  std::vector<std::vector<double>> powers(lanes);
-  for (int rep = 0; rep < config.max_repeats && !active.empty(); ++rep) {
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      ++results[active[k]].repeats_run;
-    }
-    for (std::uint64_t begin = 0; begin < duration;
-         begin += config.window_cycles) {
-      const std::uint64_t end =
-          std::min(begin + config.window_cycles, duration);
-      const std::uint64_t window = end - begin;
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        ReplayResult& result = results[active[k]];
-        const auto counts = traces[active[k]].window(begin, end);
-        std::vector<double> p = model_->dynamic_power(counts, window);
-        for (double watts : p) {
-          result.dynamic_energy_j +=
-              watts * static_cast<double>(window) * cycle_s;
-        }
-        if (config.include_leakage) {
-          const auto temps = grid_->register_temps(states[k]);
-          const auto leak =
-              model_->leakage_power(fp, temps, config.gated_banks);
-          for (std::size_t r = 0; r < p.size(); ++r) {
-            p[r] += leak[r];
-            result.leakage_energy_j +=
-                leak[r] * static_cast<double>(window) * cycle_s;
-          }
-        }
-        powers[k] = std::move(p);
-      }
-      grid_->step_batch(
-          std::span<thermal::ThermalState>(states.data(), active.size()),
-          std::span<const std::vector<double>>(powers.data(), active.size()),
-          static_cast<double>(window) * cycle_s);
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        ReplayResult& result = results[active[k]];
-        const auto temps = grid_->register_temps(states[k]);
-        for (std::size_t r = 0; r < temps.size(); ++r) {
-          result.peak_reg_temps[r] =
-              std::max(result.peak_reg_temps[r], temps[r]);
-        }
-      }
-    }
-
-    for (std::size_t k = 0; k < active.size();) {
-      const std::size_t lane = active[k];
-      const auto temps = grid_->register_temps(states[k]);
-      const double peak = *std::max_element(temps.begin(), temps.end());
-      if (std::abs(peak - prev_peak[lane]) < config.settle_tolerance_k) {
-        results[lane].settled = true;
-        results[lane].final_state = std::move(states[k]);
-        states[k] = std::move(states.back());
-        states.pop_back();
-        active[k] = active.back();
-        active.pop_back();
-        continue;
-      }
-      prev_peak[lane] = peak;
-      ++k;
-    }
-  }
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    results[active[k]].final_state = std::move(states[k]);
-  }
-  for (ReplayResult& result : results) {
-    result.final_reg_temps = grid_->register_temps(result.final_state);
-    result.final_stats =
-        thermal::compute_map_stats(fp, result.final_reg_temps);
-  }
-  return results;
 }
 
 }  // namespace tadfa::sim

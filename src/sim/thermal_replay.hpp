@@ -29,11 +29,6 @@ struct ReplayConfig {
   bool include_leakage = true;
   /// Banks that are power-gated for the whole run (see opt/bank_gating).
   std::vector<bool> gated_banks;
-  /// Start from this thermal state instead of substrate temperature.
-  /// Chaining repeated replays through their predecessor's final_state
-  /// settles in far fewer repeats than restarting cold each time. The
-  /// settle test compares the first repeat against this state.
-  const thermal::ThermalState* warm_start = nullptr;
 };
 
 struct ReplayResult {
@@ -58,18 +53,6 @@ class ThermalReplay {
 
   ReplayResult replay(const power::AccessTrace& trace,
                       const ReplayConfig& config = {}) const;
-
-  /// Replays several traces together, advancing all lanes through each
-  /// power window with ThermalGrid::step_batch so the conductance tables
-  /// are shared across lanes. On a reference-kernel grid, per-lane
-  /// results match sequential replay() calls bit-for-bit (step_batch
-  /// always steps with reference math); on fast-tier grids they agree
-  /// within the kernel tolerance instead. Lanes drop out of the batch
-  /// as they settle. All traces must agree on num_registers and
-  /// duration_cycles (one window schedule drives every lane).
-  std::vector<ReplayResult> replay_batch(
-      std::span<const power::AccessTrace> traces,
-      const ReplayConfig& config = {}) const;
 
  private:
   const thermal::ThermalGrid* grid_;

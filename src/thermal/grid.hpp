@@ -14,19 +14,14 @@
 // The model is linear; leakage's temperature dependence is closed by the
 // caller (power model) between steps.
 //
-// Solver tiers: the original scalar loops survive unchanged as the
-// bit-identical reference (StepKernel::kReference, always used when the
-// caller asks for --strict-math). The fast tiers trade bit-identity for
-// speed within a documented tolerance: kSimd keeps the reference's
-// per-element operation order over structure-of-arrays tables under
-// `#pragma omp simd`; kAvx2 hand-vectorizes with FMA and a hoisted
-// diagonal. Fast-tier steady_state() uses active-set Gauss-Seidel (only
-// nodes whose last update exceeded δ — and their neighbors — are
-// re-relaxed) and both tiers accept a warm start.
+// One transient kernel: explicit Euler over structure-of-arrays neighbor
+// tables under `#pragma omp simd`, with the same per-node operation order
+// as the original scalar loop, so its results are bit-identical to it.
+// steady_state() is full-sweep Gauss-Seidel, kept as the transient step's
+// oracle.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -42,61 +37,21 @@ struct ThermalState {
   friend bool operator==(const ThermalState&, const ThermalState&) = default;
 };
 
-/// Solver tier for the transient step kernel.
-enum class StepKernel : std::uint8_t {
-  kReference = 0,  ///< original scalar loop; bit-identical across builds
-  kSimd = 1,       ///< SoA + omp simd; same per-element operation order
-  kAvx2 = 2,       ///< AVX2+FMA intrinsics; documented tolerance only
-};
-
-const char* to_string(StepKernel kernel);
-
-/// Knobs for steady_state(). The defaults reproduce the historical
-/// behavior (cold start at substrate temperature, 1e-9 K tolerance).
-struct SteadyStateOptions {
-  double tolerance_k = 1e-9;
-  /// Start iterating from this state instead of the substrate-temperature
-  /// initial state. Must have node_count() entries when set. A warm start
-  /// near the solution cuts sweeps dramatically; correctness is unaffected
-  /// (the system is strictly diagonally dominant, so Gauss-Seidel
-  /// converges from any start).
-  const ThermalState* warm_start = nullptr;
-  int max_sweeps = 100000;
-};
-
-/// What steady_state() did, for benchmarks and convergence tests.
-struct SteadyStateInfo {
-  int sweeps = 0;               ///< full or partial passes over the grid
-  std::uint64_t relaxations = 0;  ///< individual node updates performed
-  bool converged = false;
-};
-
 class ThermalGrid {
  public:
   /// `subdivision` >= 1: grid points per cell edge (nodes per cell =
-  /// subdivision²). `kernel` selects the transient-step tier; an
-  /// unavailable tier (kAvx2 on a CPU without AVX2+FMA) degrades to
-  /// kSimd. Defaults to default_step_kernel().
+  /// subdivision²). Must satisfy supports().
   ThermalGrid(const machine::Floorplan& floorplan, unsigned subdivision = 1);
-  ThermalGrid(const machine::Floorplan& floorplan, unsigned subdivision,
-              StepKernel kernel);
 
-  /// Build-default tier: kReference unless the build enabled TADFA_SIMD,
-  /// then the fastest available fast tier (kAvx2 if the CPU supports
-  /// AVX2+FMA, else kSimd).
-  static StepKernel default_step_kernel();
-
-  /// Whether `kernel` can run on this build + CPU.
-  static bool kernel_available(StepKernel kernel);
-
-  /// The tier this grid resolved to at construction.
-  StepKernel step_kernel() const { return kernel_; }
+  /// Whether a grid over `rf` at `subdivision` can be built: the step
+  /// kernel addresses neighbors through int32 index planes, so the node
+  /// count must fit in an int32.
+  static bool supports(const machine::RegisterFileConfig& rf,
+                       std::uint64_t subdivision);
 
   const machine::Floorplan& floorplan() const { return *floorplan_; }
   unsigned subdivision() const { return subdivision_; }
   std::size_t node_count() const { return cap_.size(); }
-  std::size_t node_rows() const { return node_rows_; }
-  std::size_t node_cols() const { return node_cols_; }
 
   /// Node indices covering a register's cell.
   const std::vector<std::size_t>& nodes_of(machine::PhysReg r) const;
@@ -110,48 +65,13 @@ class ThermalGrid {
   /// Advances the transient solution by `dt` seconds with per-register
   /// power `reg_power_w` (watts, spread uniformly over each cell's nodes).
   /// Internally substeps to respect the explicit-Euler stability limit.
-  /// Uses the grid's constructed kernel tier.
   void step(ThermalState& state, std::span<const double> reg_power_w,
             double dt) const;
 
-  /// step() through an explicit tier, regardless of the constructed one.
-  /// Callers needing reproducible results (--strict-math) pass
-  /// StepKernel::kReference. The tier must be kernel_available().
-  void step_with(StepKernel kernel, ThermalState& state,
-                 std::span<const double> reg_power_w, double dt) const;
-
-  /// Advances `states.size()` independent transient states by the same
-  /// `dt` in one pass over the shared tables (per-lane powers in
-  /// `reg_powers`). Each lane's arithmetic is identical to a sequential
-  /// step() call, so results are bit-identical to the loop it replaces;
-  /// the win is table locality across lanes.
-  void step_batch(std::span<ThermalState> states,
-                  std::span<const std::vector<double>> reg_powers,
-                  double dt) const;
-
   /// Steady-state temperatures under constant per-register power
-  /// (Gauss-Seidel to `tolerance_k`). Reference-tier grids run full
-  /// sweeps (bit-identical to the historical loop); fast-tier grids use
-  /// active-set sweeps that converge to the same tolerance.
+  /// (full-sweep Gauss-Seidel to `tolerance_k`).
   ThermalState steady_state(std::span<const double> reg_power_w,
                             double tolerance_k = 1e-9) const;
-
-  /// Full-control overload: warm start, tolerance, sweep cap, and
-  /// optional convergence stats.
-  ThermalState steady_state(std::span<const double> reg_power_w,
-                            const SteadyStateOptions& options,
-                            SteadyStateInfo* info = nullptr) const;
-
-  /// Solves `reg_powers.size()` steady states together over the shared
-  /// tables, with per-lane early exit once a lane converges. Per-lane
-  /// arithmetic matches the reference full-sweep solver exactly, so each
-  /// returned state is bit-identical to a sequential
-  /// steady_state(reg_powers[lane], tolerance_k) call from the same
-  /// (optional, shared) warm start.
-  std::vector<ThermalState> steady_state_batch(
-      std::span<const std::vector<double>> reg_powers,
-      double tolerance_k = 1e-9, const ThermalState* warm_start = nullptr,
-      std::vector<SteadyStateInfo>* infos = nullptr) const;
 
   /// Largest dt (seconds) a single explicit-Euler step may take.
   double max_stable_dt() const { return stable_dt_; }
@@ -168,11 +88,7 @@ class ThermalGrid {
   /// Digest of everything the solution depends on: the floorplan config
   /// (geometry and thermal coefficients) plus the subdivision knob. The
   /// conductance/capacitance tables are derived deterministically from
-  /// these, so they carry no information of their own. The kernel tier is
-  /// folded in only when it departs from kReference — fast tiers may
-  /// differ in low-order bits, so their results must not share ResultCache
-  /// keys with reference runs, while reference-tier digests stay
-  /// compatible with every pre-tier cache entry.
+  /// these, so they carry no information of their own.
   std::uint64_t config_digest() const;
 
  private:
@@ -180,26 +96,17 @@ class ThermalGrid {
     return row * node_cols_ + col;
   }
 
-  /// One explicit-Euler substep of length `h` through `kernel`, updating
-  /// `t` in place. `p` is per-node power, `flux` is caller scratch.
-  void substep_with(StepKernel kernel, double* t, const double* p,
-                    double* flux, double h) const;
+  /// One explicit-Euler substep of length `h`, updating `t` in place.
+  /// `p` is per-node power, `flux` is caller scratch.
+  void substep(double* t, const double* p, double* flux, double h) const;
 
   /// Spreads per-register watts uniformly over each cell's nodes into
   /// `p` (resized to node_count()).
   void spread_power(std::span<const double> reg_power_w,
                     std::vector<double>& p) const;
 
-  ThermalState steady_state_full_sweeps(const std::vector<double>& p,
-                                        const SteadyStateOptions& options,
-                                        SteadyStateInfo* info) const;
-  ThermalState steady_state_active_set(const std::vector<double>& p,
-                                       const SteadyStateOptions& options,
-                                       SteadyStateInfo* info) const;
-
   const machine::Floorplan* floorplan_;
   unsigned subdivision_;
-  StepKernel kernel_ = StepKernel::kReference;
   std::size_t node_rows_ = 0;
   std::size_t node_cols_ = 0;
   double substrate_temp_ = 0;
@@ -210,21 +117,13 @@ class ThermalGrid {
   double g_lateral_v_ = 0;               // north-south neighbor link (W/K)
   double stable_dt_ = 0;
 
-  // Flattened update tables for step()'s inner loop: 4 neighbor slots per
-  // node in fixed W/E/N/S order (absent neighbors point at the node
-  // itself with conductance 0, so the flux loop is branch-free and still
-  // bit-identical to the old edge-checked form).
-  std::vector<std::size_t> nbr_index_;   // 4 per node
-  std::vector<double> nbr_g_;            // 4 per node (W/K; 0 = no link)
-
-  // Structure-of-arrays mirrors of the tables above for the fast tiers:
-  // slot-major planes of n entries each (slot s plane starts at s·n), so
-  // the per-slot flux accumulation streams contiguously.
-  std::vector<double> nbr_g_soa_;          // 4 planes
-  std::vector<std::int32_t> nbr_idx_soa_;  // 4 planes
-  std::vector<double> g_diag_;    // g_vertical + Σ slot g (W/K)
-  std::vector<double> gv_tsub_;   // g_vertical · substrate_temp (W)
-  std::vector<double> inv_cap_;   // 1 / C (K/J)
+  // Neighbor tables for step()'s inner loop: 4 slots per node in fixed
+  // W/E/N/S order, stored slot-major (slot s's plane starts at s·n) so
+  // each slot's flux accumulation streams contiguously. Absent neighbors
+  // point at the node itself with conductance 0, so the loop is
+  // branch-free and still bit-identical to the edge-checked form.
+  std::vector<double> nbr_g_;          // 4 planes (W/K; 0 = no link)
+  std::vector<std::int32_t> nbr_idx_;  // 4 planes
 
   std::vector<std::vector<std::size_t>> cell_nodes_;  // per register
   std::vector<machine::PhysReg> node_owner_;

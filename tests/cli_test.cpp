@@ -82,4 +82,38 @@ TEST(CliTest, ClientWithoutServerFailsCleanly) {
       << r.stderr_text;
 }
 
+// Flag values the thermal DFA or grid cannot run with are rejected while
+// parsing: usage text and exit 2, never SIGABRT from a config assert.
+void expect_usage_exit(const std::string& args) {
+  const RunResult r = run_cli(args);
+  ASSERT_TRUE(r.exited) << args << ": CLI died of a signal";
+  EXPECT_EQ(r.status, 2) << args;
+  EXPECT_NE(r.stderr_text.find("usage:"), std::string::npos)
+      << args << ": " << r.stderr_text;
+}
+
+TEST(CliTest, BadThermalFlagsAreUsageErrors) {
+  for (const char* flag : {"--delta=0", "--delta=-1", "--delta=nan",
+                           "--subdivision=0", "--subdivision=6000"}) {
+    expect_usage_exit(std::string(flag) + " crc32");
+  }
+}
+
+TEST(CliTest, ServeRejectsBadThermalFlagsBeforeBinding) {
+  const auto socket = std::filesystem::temp_directory_path() /
+                      ("tadfa-cli-test-" + std::to_string(::getpid()) +
+                       ".sock");
+  // serve builds every other machine lazily at the same subdivision, so
+  // 5000, which fits the default 8x8 file but not the 8x16 'large' one,
+  // is refused too. The unknown machine name keeps a regression cheap:
+  // without the parse-time bound the command fails on the name (with no
+  // usage text) instead of building a billion-node grid.
+  for (const char* flags :
+       {"--delta=0", "--delta=-1", "--delta=nan", "--subdivision=6000",
+        "--machine=no-such-machine --subdivision=5000"}) {
+    expect_usage_exit("serve --socket=" + socket.string() + " " + flags);
+    EXPECT_FALSE(std::filesystem::exists(socket)) << flags;
+  }
+}
+
 }  // namespace

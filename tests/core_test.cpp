@@ -148,59 +148,6 @@ TEST(ThermalDfa, AnalysisTimeRecorded) {
   EXPECT_GT(result.analysis_seconds, 0.0);
 }
 
-// ---------------------------------------------------------- fast path ----
-
-TEST(ThermalDfa, StrictMathMatchesReferenceGridBitForBit) {
-  // --strict-math on a fast-tier grid must reproduce a reference-kernel
-  // grid's analysis exactly: the flag pins the transient kernel to the
-  // bit-identical reference tier no matter how the grid was built.
-  Rig s;
-  const thermal::ThermalGrid fast_grid(s.fp, 1, thermal::StepKernel::kSimd);
-  const thermal::ThermalGrid ref_grid(s.fp, 1,
-                                      thermal::StepKernel::kReference);
-  auto k = workload::make_crc32(32);
-  const auto alloc = allocate(s, k.func);
-
-  ThermalDfaConfig strict_cfg;
-  strict_cfg.strict_math = true;
-  const ThermalDfa strict_dfa(fast_grid, s.power, s.timing, strict_cfg);
-  const ThermalDfa ref_dfa(ref_grid, s.power, s.timing);
-
-  const auto a = strict_dfa.analyze_post_ra(alloc.func, alloc.assignment);
-  const auto b = ref_dfa.analyze_post_ra(alloc.func, alloc.assignment);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.final_delta_k, b.final_delta_k);
-  EXPECT_EQ(a.exit_reg_temps_k, b.exit_reg_temps_k);
-}
-
-TEST(ThermalDfa, EvaluatePowerCandidatesMatchesSteadyState) {
-  Rig s;
-  const ThermalDfa dfa(s.grid, s.power, s.timing);
-  std::vector<std::vector<double>> candidates(
-      3, std::vector<double>(s.fp.num_registers(), 0.0));
-  candidates[0][0] = 2e-3;
-  candidates[1][5] = 1e-3;
-  candidates[1][6] = 1e-3;
-  candidates[2].assign(s.fp.num_registers(), 1e-4);
-
-  const auto evals = dfa.evaluate_power_candidates(candidates);
-  ASSERT_EQ(evals.size(), candidates.size());
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    const auto direct =
-        s.grid.register_temps(s.grid.steady_state(candidates[c]));
-    ASSERT_EQ(evals[c].reg_temps_k.size(), direct.size());
-    double peak = 0;
-    for (std::size_t r = 0; r < direct.size(); ++r) {
-      EXPECT_NEAR(evals[c].reg_temps_k[r], direct[r], 1e-6)
-          << "candidate=" << c << " reg=" << r;
-      peak = std::max(peak, evals[c].reg_temps_k[r]);
-    }
-    EXPECT_DOUBLE_EQ(evals[c].peak_k, peak) << "candidate=" << c;
-    EXPECT_GT(evals[c].sweeps, 0) << "candidate=" << c;
-  }
-}
-
 // -------------------------------------------------------- frequency modes ----
 
 TEST(ThermalDfa, ProfileModeUsesMeasuredCounts) {

@@ -281,6 +281,12 @@ TEST(MachineDigestsGrid, DefaultMachineKeepsPreMatrixKeys) {
   legacy.power = &power;
   EXPECT_EQ(pipeline::ResultCache::context_digest(rig.context()),
             pipeline::ResultCache::context_digest(legacy));
+
+  // Literal digests: every cache a default build has written must stay
+  // warm, so neither value may move.
+  EXPECT_EQ(grid.config_digest(), 0x8f400002b6940fc3ull);
+  EXPECT_EQ(pipeline::ResultCache::context_digest(rig.context()),
+            0x3a4ed88a9b9adf90ull);
 }
 
 TEST(MachineDigestsGrid, EveryMachineHasADistinctContextDigest) {

@@ -275,46 +275,6 @@ TEST_F(ResultCacheTest, ContextDigestRespondsToEachModelIndependently) {
   EXPECT_NE(pipeline::ResultCache::context_digest(ctx), base_digest);
 }
 
-TEST_F(ResultCacheTest, ContextDigestRespondsToStrictMath) {
-  const std::uint64_t base_digest =
-      pipeline::ResultCache::context_digest(context());
-  pipeline::PipelineContext ctx = context();
-  ctx.dfa_config.strict_math = true;
-  EXPECT_NE(pipeline::ResultCache::context_digest(ctx), base_digest);
-  ctx.dfa_config.strict_math = false;
-  EXPECT_EQ(pipeline::ResultCache::context_digest(ctx), base_digest);
-}
-
-TEST_F(ResultCacheTest, StrictMathIsByteIdenticalToReferenceGridThroughCache) {
-  // The full-pipeline contract behind --strict-math: compiling with the
-  // flag on any grid equals compiling against a reference-kernel grid,
-  // cold and warm through the result cache alike.
-  const ir::Module module = test_module(4, /*seed=*/7);
-
-  thermal::ThermalGrid ref_grid(fp, /*subdivision=*/1,
-                                thermal::StepKernel::kReference);
-  pipeline::PipelineContext ref_ctx = context();
-  ref_ctx.grid = &ref_grid;
-  pipeline::CompilationDriver ref_driver(ref_ctx);
-  const auto baseline = ref_driver.compile(module, kSpec);
-  ASSERT_TRUE(baseline.ok) << baseline.error;
-
-  pipeline::PipelineContext strict_ctx = context();
-  strict_ctx.dfa_config.strict_math = true;
-  pipeline::CompilationDriver driver(strict_ctx);
-  pipeline::ResultCache cache(dir.string());
-  ASSERT_TRUE(cache.ok()) << cache.error();
-  driver.set_result_cache(&cache);
-  const auto cold = driver.compile(module, kSpec);
-  ASSERT_TRUE(cold.ok) << cold.error;
-  const auto warm = driver.compile(module, kSpec);
-  ASSERT_TRUE(warm.ok) << warm.error;
-
-  EXPECT_GE(warm.cache_hit_rate(), 0.95);
-  expect_identical(baseline, cold);
-  expect_identical(baseline, warm);
-}
-
 TEST_F(ResultCacheTest, KeyFlipsOnFingerprintSpecAndContext) {
   const auto base = pipeline::ResultCache::make_key(10, "dce", 20);
   EXPECT_EQ(pipeline::ResultCache::make_key(10, "dce", 20), base);

@@ -347,74 +347,6 @@ TEST(ThermalReplay, SingleRepeatCanSettle) {
   EXPECT_FALSE(heating.settled);
 }
 
-TEST(ThermalReplay, WarmStartSettlesInFewerRepeats) {
-  workload::Kernel k = workload::make_counter(256);
-  ir::Function allocated("");
-  const auto assignment = allocate(k.func, allocated);
-  Interpreter interp(allocated, timing);
-  power::AccessTrace trace(64);
-  ASSERT_TRUE(interp.run_traced(k.default_args, assignment, trace).ok());
-
-  const machine::Floorplan fp(machine::RegisterFileConfig::default_config());
-  const thermal::ThermalGrid grid(fp);
-  const power::PowerModel model(fp.config());
-  const ThermalReplay replay(grid, model);
-  ReplayConfig cfg;
-  cfg.max_repeats = 400;
-  const auto cold = replay.replay(trace, cfg);
-  ASSERT_TRUE(cold.settled);
-
-  // Resume from the settled state: the same trace should settle almost
-  // immediately — the predecessor already did the slow climb.
-  ReplayConfig warm_cfg = cfg;
-  warm_cfg.warm_start = &cold.final_state;
-  const auto warm = replay.replay(trace, warm_cfg);
-  EXPECT_TRUE(warm.settled);
-  EXPECT_LT(warm.repeats_run, cold.repeats_run);
-  EXPECT_LE(warm.repeats_run, 3);
-  EXPECT_NEAR(warm.final_stats.peak_k, cold.final_stats.peak_k, 1e-2);
-}
-
-TEST(ThermalReplay, ReplayBatchMatchesSequentialReplay) {
-  // A reference-kernel grid on purpose: replay_batch steps with
-  // reference math, so per-lane results must be bit-identical to
-  // sequential replay() there.
-  const machine::Floorplan fp(machine::RegisterFileConfig::default_config());
-  const thermal::ThermalGrid grid(fp, 1,
-                                  thermal::StepKernel::kReference);
-  const power::PowerModel model(fp.config());
-  const ThermalReplay replay(grid, model);
-
-  power::AccessTrace a(fp.num_registers());
-  power::AccessTrace b(fp.num_registers());
-  for (std::uint64_t c = 0; c < 2000; ++c) {
-    a.record(c, static_cast<machine::PhysReg>(c % 5), c % 3 == 0);
-    b.record(c, static_cast<machine::PhysReg>(7 + c % 11), c % 2 == 0);
-  }
-  a.set_duration_cycles(2000);
-  b.set_duration_cycles(2000);
-
-  ReplayConfig cfg;
-  cfg.max_repeats = 50;  // lane a settles before lane b: exercises the
-                         // swap-remove lane compaction
-  const std::vector<power::AccessTrace> traces = {a, b};
-  const auto batch = replay.replay_batch(traces, cfg);
-  ASSERT_EQ(batch.size(), 2u);
-  const ReplayResult seq[] = {replay.replay(a, cfg), replay.replay(b, cfg)};
-  for (std::size_t lane = 0; lane < 2; ++lane) {
-    EXPECT_EQ(batch[lane].final_state, seq[lane].final_state) << lane;
-    EXPECT_EQ(batch[lane].final_reg_temps, seq[lane].final_reg_temps)
-        << lane;
-    EXPECT_EQ(batch[lane].peak_reg_temps, seq[lane].peak_reg_temps) << lane;
-    EXPECT_EQ(batch[lane].repeats_run, seq[lane].repeats_run) << lane;
-    EXPECT_EQ(batch[lane].settled, seq[lane].settled) << lane;
-    EXPECT_EQ(batch[lane].dynamic_energy_j, seq[lane].dynamic_energy_j)
-        << lane;
-    EXPECT_EQ(batch[lane].leakage_energy_j, seq[lane].leakage_energy_j)
-        << lane;
-  }
-}
-
 TEST(ThermalReplay, GatedBanksRunCooler) {
   workload::Kernel k = workload::make_vecsum(64);
   ir::Function allocated("");

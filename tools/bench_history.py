@@ -30,9 +30,8 @@ noisier ones warn-only.
 
 Every top-level numeric field outside "config" is treated as a
 higher-is-better metric (true of everything the benches emit today:
-functions_per_sec, cache_hit_rate, extension_speedup, prefix_skip_rate,
-step_speedup, warm_start_sweep_reduction); a drop beyond --tolerance
-(default 20%) warns.
+functions_per_sec, cache_hit_rate, extension_speedup, prefix_skip_rate);
+a drop beyond --tolerance (default 20%) warns.
 
 Usage:
     bench_history.py --history bench/history/history.jsonl \

@@ -47,6 +47,7 @@
 #include "support/heatmap.hpp"
 #include "support/string_utils.hpp"
 #include "support/table.hpp"
+#include "thermal/grid.hpp"
 #include "workload/kernels.hpp"
 
 using namespace tadfa;
@@ -82,12 +83,28 @@ struct Options {
   bool explain_invalidation = false;
   unsigned stage_every = 0;
   unsigned subdivision = 1;
-  bool strict_math = false;
   /// Empty = auto-detect per input (kernel name, .texpr extension, else
   /// .tir); a named frontend parses every input.
   std::string frontend;
   std::string machine = "default";
 };
+
+/// Whether every registered machine can build its thermal grid at this
+/// subdivision. serve builds machines lazily with the same subdivision,
+/// so the bound must hold for all of them, not only the selected one.
+bool subdivision_fits_every_machine(long long subdivision) {
+  if (subdivision < 1) {
+    return false;
+  }
+  const auto s = static_cast<std::uint64_t>(subdivision);
+  for (const machine::MachineConfig& mc :
+       machine::default_machine_registry().entries()) {
+    if (!thermal::ThermalGrid::supports(mc.rf, s)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 void print_frontends() {
   TextTable table("available frontends");
@@ -131,9 +148,6 @@ void print_usage(std::ostream& os, const char* argv0) {
       << "  --delta=K         thermal-DFA convergence threshold\n"
       << "  --max-iters=N     thermal-DFA iteration cap\n"
       << "  --subdivision=N   thermal grid points per cell edge (default 1)\n"
-      << "  --strict-math     force the bit-identical reference thermal\n"
-      << "                    kernel (disables the SIMD fast path; cached\n"
-      << "                    under its own ResultCache key)\n"
       << "  --seed=N          assignment-policy seed\n"
       << "  --jobs=N          compile module functions on N worker threads\n"
       << "                    (default: hardware concurrency; several inputs\n"
@@ -311,7 +325,7 @@ int run_compile(int argc, char** argv) {
         opt.args.push_back(n);
       }
     } else if (auto v = value("--delta=")) {
-      if (!parse_double(*v, opt.delta_k)) {
+      if (!parse_double(*v, opt.delta_k) || !(opt.delta_k > 0)) {
         return usage(argv[0]);
       }
     } else if (auto v = value("--max-iters=")) {
@@ -334,12 +348,10 @@ int run_compile(int argc, char** argv) {
       opt.jobs = static_cast<unsigned>(n);
     } else if (auto v = value("--subdivision=")) {
       long long n = 0;
-      if (!parse_int(*v, n) || n < 1) {
+      if (!parse_int(*v, n) || !subdivision_fits_every_machine(n)) {
         return usage(argv[0]);
       }
       opt.subdivision = static_cast<unsigned>(n);
-    } else if (arg == "--strict-math") {
-      opt.strict_math = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else {
@@ -445,7 +457,6 @@ int run_compile(int argc, char** argv) {
   rig_options.subdivision = opt.subdivision;
   rig_options.dfa_config.delta_k = opt.delta_k;
   rig_options.dfa_config.max_iterations = opt.max_iterations;
-  rig_options.dfa_config.strict_math = opt.strict_math;
   rig_options.policy_seed = opt.seed;
   const pipeline::CompileRig rig(*mc, rig_options);
   const machine::Floorplan& fp = rig.floorplan();
@@ -750,8 +761,6 @@ void print_serve_usage(std::ostream& os, const char* argv0) {
       << "  --machine=NAME       named machine config the server compiles\n"
       << "                       for by default (default 'default'; requests\n"
       << "                       may name any other registry machine)\n"
-      << "  --strict-math        force the bit-identical reference thermal\n"
-      << "                       kernel for every request\n"
       << "  --seed=N             assignment-policy seed\n"
       << "  --help               print this help and exit\n"
       << "Stop with SIGINT/SIGTERM; in-flight requests drain first.\n";
@@ -772,7 +781,6 @@ int run_serve(const char* argv0, int argc, char** argv) {
   int max_iterations = 100;
   std::uint64_t seed = 42;
   unsigned subdivision = 1;
-  bool strict_math = false;
   std::string machine_name = "default";
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -837,7 +845,7 @@ int run_serve(const char* argv0, int argc, char** argv) {
         return serve_usage(argv0);
       }
     } else if (auto v = value("--delta=")) {
-      if (!parse_double(*v, delta_k)) {
+      if (!parse_double(*v, delta_k) || !(delta_k > 0)) {
         return serve_usage(argv0);
       }
     } else if (auto v = value("--max-iters=")) {
@@ -846,14 +854,12 @@ int run_serve(const char* argv0, int argc, char** argv) {
       }
       max_iterations = static_cast<int>(n);
     } else if (auto v = value("--subdivision=")) {
-      if (!parse_int(*v, n) || n < 1) {
+      if (!parse_int(*v, n) || !subdivision_fits_every_machine(n)) {
         return serve_usage(argv0);
       }
       subdivision = static_cast<unsigned>(n);
     } else if (auto v = value("--machine=")) {
       machine_name = *v;
-    } else if (arg == "--strict-math") {
-      strict_math = true;
     } else if (auto v = value("--seed=")) {
       if (!parse_int(*v, n) || n < 0) {
         return serve_usage(argv0);
@@ -881,7 +887,6 @@ int run_serve(const char* argv0, int argc, char** argv) {
   rig_options.subdivision = subdivision;
   rig_options.dfa_config.delta_k = delta_k;
   rig_options.dfa_config.max_iterations = max_iterations;
-  rig_options.dfa_config.strict_math = strict_math;
   rig_options.policy_seed = seed;
   const pipeline::CompileRig rig(*mc, rig_options);
   pipeline::PipelineContext ctx = rig.context();
