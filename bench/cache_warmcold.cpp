@@ -13,8 +13,9 @@
 // With --json=PATH the headline numbers are written as the repo's
 // benchmark artifact:
 //
-//   {"bench": ..., "config": {...}, "functions_per_sec": <warm>,
-//    "cache_hit_rate": <warm>, "git_sha": ...}
+//   {"bench": ..., "config": {<inputs>}, "measured": {<cold rates>},
+//    "functions_per_sec": <warm>, "cache_hit_rate": <warm>,
+//    "git_sha": ...}
 //
 //   bench_cache_warmcold [--functions=N] [--jobs=N] [--cache-dir=DIR]
 //                        [--json=PATH] [--git-sha=SHA] [--csv]
@@ -211,7 +212,9 @@ int main(int argc, char** argv) {
          << "    \"functions\": " << functions << ",\n"
          << "    \"jobs\": " << warm.jobs << ",\n"
          << "    \"seed\": " << kSeed << ",\n"
-         << "    \"spec\": \"" << json_escape(kSpec) << "\",\n"
+         << "    \"spec\": \"" << json_escape(kSpec) << "\"\n"
+         << "  },\n"
+         << "  \"measured\": {\n"
          << "    \"functions_per_sec_cold\": "
          << funcs_per_sec(functions, phases[0].seconds) << ",\n"
          << "    \"functions_per_sec_warm_serial\": "

@@ -21,8 +21,9 @@
 // With --json=PATH the headline numbers are written as the repo's
 // benchmark artifact:
 //
-//   {"bench": ..., "config": {...}, "extension_speedup": <x>,
-//    "prefix_skip_rate": <0..1>, "git_sha": ...}
+//   {"bench": ..., "config": {<inputs>}, "measured": {<phase seconds>},
+//    "extension_speedup": <x>, "prefix_skip_rate": <0..1>,
+//    "git_sha": ...}
 //
 //   bench_incremental [--functions=N] [--jobs=N] [--cache-dir=DIR]
 //                     [--json=PATH] [--git-sha=SHA] [--csv]
@@ -233,7 +234,9 @@ int main(int argc, char** argv) {
          << "    \"seed\": " << kSeed << ",\n"
          << "    \"spec\": \"" << json_escape(kPrefixSpec) << "\",\n"
          << "    \"extended_spec\": \"" << json_escape(kExtendedSpec)
-         << "\",\n"
+         << "\"\n"
+         << "  },\n"
+         << "  \"measured\": {\n"
          << "    \"cold_seconds\": " << phases[0].seconds << ",\n"
          << "    \"extension_seconds\": " << ext.seconds << ",\n"
          << "    \"cold_ext_seconds\": " << cold_ext.seconds << "\n"

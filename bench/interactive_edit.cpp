@@ -18,7 +18,8 @@
 // With --json=PATH the headline numbers are written as the repo's
 // benchmark artifact (higher is better):
 //
-//   {"bench": ..., "config": {...}, "functions_per_sec": <edited resubmit>,
+//   {"bench": ..., "config": {<inputs>}, "measured": {"recompiled": N},
+//    "functions_per_sec": <edited resubmit>,
 //    "warm_fraction": <edited resubmit>, "git_sha": ...}
 //
 //   bench_interactive_edit [--functions=N] [--jobs=N] [--cache-dir=DIR]
@@ -339,7 +340,9 @@ int main(int argc, char** argv) {
          << "    \"seed\": " << kSeed << ",\n"
          << "    \"spec\": \"" << json_escape(kSpec) << "\",\n"
          << "    \"edited\": \"" << json_escape(edit_name) << "\",\n"
-         << "    \"dependents\": " << dependents.size() << ",\n"
+         << "    \"dependents\": " << dependents.size() << "\n"
+         << "  },\n"
+         << "  \"measured\": {\n"
          << "    \"recompiled\": " << headline.recompiled << "\n"
          << "  },\n"
          << "  \"functions_per_sec\": "

@@ -14,9 +14,10 @@
 // With --json=PATH the headline numbers are written as the repo's
 // service benchmark artifact:
 //
-//   {"bench": "service_throughput", "config": {...},
-//    "requests_per_sec": <warm>, "functions_per_sec": <warm>,
-//    "cache_hit_rate": <warm>, "git_sha": ...}
+//   {"bench": "service_throughput", "config": {<inputs>},
+//    "measured": {<cold rates>}, "requests_per_sec": <warm>,
+//    "functions_per_sec": <warm>, "cache_hit_rate": <warm>,
+//    "git_sha": ...}
 //
 //   bench_service_throughput [--functions=N] [--clients=N] [--jobs=N]
 //                            [--per-request=N] [--cache-dir=DIR]
@@ -274,7 +275,9 @@ int main(int argc, char** argv) {
          << "    \"per_request\": " << per_request << ",\n"
          << "    \"jobs\": " << jobs << ",\n"
          << "    \"seed\": " << kSeed << ",\n"
-         << "    \"spec\": \"" << json_escape(kSpec) << "\",\n"
+         << "    \"spec\": \"" << json_escape(kSpec) << "\"\n"
+         << "  },\n"
+         << "  \"measured\": {\n"
          << "    \"requests_per_sec_cold\": "
          << per_sec(phases[0].requests, phases[0].seconds) << ",\n"
          << "    \"functions_per_sec_cold\": "

@@ -229,10 +229,13 @@ PreservedAnalyses critical_transform_preserved() {
 
 PassOutcome run_split_hot(PipelineState& state, std::size_t count) {
   auto* ranking = state.analyses.result_mut<CriticalRanking>();
-  if (ranking == nullptr || ranking->vars.empty()) {
+  if (ranking == nullptr) {
     return PassOutcome::failure(
         "split-hot requires a critical-variable ranking (run thermal-dfa "
         "first)");
+  }
+  if (ranking->vars.empty()) {
+    return PassOutcome::unchanged("no critical variables");
   }
   const std::size_t n = std::min(count, ranking->vars.size());
   std::vector<ir::Reg> regs;
@@ -261,10 +264,13 @@ PassOutcome run_split_hot(PipelineState& state, std::size_t count) {
 
 PassOutcome run_spill_critical(PipelineState& state, std::size_t count) {
   auto* ranking = state.analyses.result_mut<CriticalRanking>();
-  if (ranking == nullptr || ranking->vars.empty()) {
+  if (ranking == nullptr) {
     return PassOutcome::failure(
         "spill-critical requires a critical-variable ranking (run "
         "thermal-dfa first)");
+  }
+  if (ranking->vars.empty()) {
+    return PassOutcome::unchanged("no critical variables");
   }
   const auto result =
       opt::spill_critical_variables(state.func, ranking->vars, count);

@@ -40,11 +40,10 @@ constexpr std::uint32_t kFrameMagic = 0x41464454u;
 /// v2: FunctionResult grew resumed_passes; the response cache-stats
 /// block grew the stage-entry counters (incremental compilation).
 /// v3: CompileResponse grew the structured ResponseCode (OK / ERROR /
-/// BUSY / TIMEOUT / VERSION_MISMATCH) that admission control and the
-/// sharding router key on, and a version-mismatched frame is answered
-/// with an explicit VERSION_MISMATCH error frame naming both versions
-/// instead of a bare framing error — a v2 client gets a structured
-/// refusal, never a hang.
+/// BUSY / TIMEOUT / VERSION_MISMATCH) that admission control keys on,
+/// and a version-mismatched frame is answered with an explicit
+/// VERSION_MISMATCH error frame naming both versions instead of a bare
+/// framing error — a v2 client gets a structured refusal, never a hang.
 /// v4: CompileRequest grew the edit_aware flag; FunctionResult grew the
 /// per-function invalidation reason + via path (dependency-edge
 /// invalidation), so a client can see *why* each function recompiled.
@@ -65,11 +64,11 @@ enum class MessageType : std::uint8_t {
 
 /// Structured outcome class of a CompileResponse. Ordinary failures
 /// (bad spec, unknown kernel, failed pass) are kError; the other codes
-/// let a client or router react without parsing error text: kBusy means
-/// the server shed the request at admission (bounded queue full or no
-/// shard reachable — retry with backoff), kTimeout means the peer
-/// stalled past the I/O deadline mid-frame, and kVersionMismatch names
-/// a peer speaking a different kProtocolVersion.
+/// let a client react without parsing error text: kBusy means the
+/// server shed the request at admission (bounded queue full — retry
+/// with backoff), kTimeout means the peer stalled past the I/O deadline
+/// mid-frame, and kVersionMismatch names a peer speaking a different
+/// kProtocolVersion.
 enum class ResponseCode : std::uint8_t {
   kOk = 0,
   kError = 1,

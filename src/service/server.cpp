@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "frontend/frontend.hpp"
 #include "ir/printer.hpp"
@@ -16,7 +17,6 @@
 #include "machine/machine_config.hpp"
 #include "pipeline/rig.hpp"
 #include "pipeline/spec.hpp"
-#include "service/naming.hpp"
 #include "support/statistics.hpp"
 #include "workload/kernels.hpp"
 
@@ -28,6 +28,42 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+std::string join_names(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& name : names) {
+    if (!out.empty()) {
+      out += ", ";
+    }
+    out += name;
+  }
+  return out;
+}
+
+/// "unknown frontend 'x' (available: tir, kernels, texpr)".
+std::string unknown_frontend_error(const std::string& name) {
+  return "unknown frontend '" + name + "' (available: " +
+         join_names(frontend::default_frontend_registry().names()) + ")";
+}
+
+/// "unknown machine 'x' (available: default, small, ...)".
+std::string unknown_machine_error(const std::string& name) {
+  return "unknown machine '" + name + "' (available: " +
+         join_names(machine::default_machine_registry().names()) + ")";
+}
+
+/// The frontend for a request's (possibly empty) frontend field: empty
+/// means "tir" (the pre-v5 behavior). nullptr when unknown.
+const frontend::Frontend* resolve_frontend(const std::string& name) {
+  return frontend::find_frontend(name.empty() ? "tir" : name);
+}
+
+/// Formats a failed parse for the request-level error response:
+/// "module text line 3: ..." for positioned diagnostics (byte-identical
+/// to the pre-seam .tir error text), "module text: ..." otherwise.
+std::string module_text_error(const frontend::ParseResult& result) {
+  return "module text " + result.diagnostics_text();
 }
 
 }  // namespace

@@ -15,13 +15,13 @@
 //
 // Since PR 7 the server is listener-agnostic: it accepts the same
 // framed protocol over a Unix-domain socket, a TCP endpoint, or both at
-// once (transport.hpp), which is what lets `tadfa route` shard requests
-// across server processes on different machines. Overload is explicit,
-// not emergent: the dispatcher queue is bounded (`max_queue`), a
-// request arriving at a full queue is answered with a structured BUSY
-// response instead of queuing unboundedly, and a connection that stalls
-// mid-frame past `io_timeout_seconds` gets a structured timeout error
-// instead of holding its handler thread forever.
+// once (transport.hpp), and both listeners feed one dispatcher queue.
+// Overload is explicit, not emergent: the dispatcher queue is bounded
+// (`max_queue`), a request arriving at a full queue is answered with a
+// structured BUSY response instead of queuing unboundedly, and a
+// connection that stalls mid-frame past `io_timeout_seconds` gets a
+// structured timeout error instead of holding its handler thread
+// forever.
 //
 // The per-function determinism guarantee carries over unchanged: a
 // pipeline run is a pure function of (function, spec, context), so a
@@ -55,7 +55,6 @@
 
 #include "pipeline/driver.hpp"
 #include "pipeline/result_cache.hpp"
-#include "service/naming.hpp"
 #include "service/protocol.hpp"
 #include "service/transport.hpp"
 #include "support/table.hpp"
@@ -94,6 +93,18 @@ struct ServerConfig {
   /// pass-boundary snapshots into the cache and resumes from the
   /// longest cached spec prefix. No effect without a cache_dir.
   pipeline::StagePolicy stage_policy;
+};
+
+/// One (frontend, machine) pair's share of the server's aggregate
+/// counters — metrics stay legible when one server fields the whole
+/// grid.
+struct PairMetrics {
+  std::string frontend;
+  std::string machine;
+  std::uint64_t requests = 0;
+  std::uint64_t requests_ok = 0;
+  std::uint64_t functions = 0;
+  std::uint64_t functions_from_cache = 0;
 };
 
 /// Aggregate counters since start(), snapshotted by metrics().

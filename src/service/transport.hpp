@@ -1,9 +1,9 @@
-// Transport abstraction for the compile service and its router.
+// Transport abstraction for the compile service.
 //
 // PR 5's CompileServer owned its Unix-domain listening socket directly;
-// scaling out needs the same framed protocol over TCP, a router process
-// that listens on either, and a server that can listen on *both* at
-// once. This header splits the socket plumbing out of the server:
+// serving remote clients needs the same framed protocol over TCP, and a
+// server that can listen on *both* at once. This header splits the
+// socket plumbing out of the server:
 //
 //   * Listener — one bound listening socket (Unix path or TCP
 //     host:port), opened lazily so construction never touches the
@@ -13,8 +13,8 @@
 //   * ConnectionHost — the accept loop, the per-connection handler
 //     threads, and their lifecycle (half-close drain on stop, joining
 //     finished handlers so a long-lived process does not accumulate one
-//     joinable thread per connection ever served). CompileServer and
-//     Router both sit behind it and never see a socket address.
+//     joinable thread per connection ever served). CompileServer sits
+//     behind it and never sees a socket address.
 //
 // Accepted connections get the host's I/O deadline applied as
 // SO_RCVTIMEO/SO_SNDTIMEO before the handler runs: a peer that stalls

@@ -99,6 +99,39 @@ TEST(CliTest, BadThermalFlagsAreUsageErrors) {
   }
 }
 
+// The measurement path interprets the compiled function, which needs one
+// argument per parameter: a missing or wrong-length --args list is a
+// diagnostic and exit 1, never SIGABRT from the interpreter's assert.
+TEST(CliTest, ArgumentCountMismatchFailsCleanly) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tadfa-cli-test-" + std::to_string(::getpid()) +
+                     ".texpr");
+  std::ofstream(path) << "fn h(a, b) { return a + b; }\n";
+  for (const char* args : {"", "--args=1 ", "--args=1,2,3 "}) {
+    const RunResult r = run_cli(std::string(args) + "--no-map " +
+                                path.string());
+    ASSERT_TRUE(r.exited) << args << ": CLI died of a signal";
+    EXPECT_EQ(r.status, 1) << args;
+    EXPECT_NE(r.stderr_text.find("function 'h'"), std::string::npos)
+        << args << ": " << r.stderr_text;
+    EXPECT_NE(r.stderr_text.find("--args"), std::string::npos)
+        << args << ": " << r.stderr_text;
+  }
+  // The right count measures normally.
+  const RunResult ok = run_cli("--args=1,2 --no-map " + path.string());
+  ASSERT_TRUE(ok.exited);
+  EXPECT_EQ(ok.status, 0) << ok.stderr_text;
+  std::filesystem::remove(path);
+}
+
+TEST(CliTest, KernelsFrontendKeepsKernelArguments) {
+  // Naming the kernels frontend explicitly must not lose the kernel's
+  // own arguments and memory image.
+  const RunResult r = run_cli("--frontend=kernels crc32 --no-map");
+  ASSERT_TRUE(r.exited) << "CLI died of a signal";
+  EXPECT_EQ(r.status, 0) << r.stderr_text;
+}
+
 TEST(CliTest, ServeRejectsBadThermalFlagsBeforeBinding) {
   const auto socket = std::filesystem::temp_directory_path() /
                       ("tadfa-cli-test-" + std::to_string(::getpid()) +

@@ -121,8 +121,9 @@ TEST(TwinProgram, FingerprintsAreIdenticalAcrossFrontends) {
 
 TEST(TwinProgram, PrintParseRoundTripPreservesTheFingerprint) {
   // Whatever texpr lowers to must survive a trip through the canonical
-  // printer and the tir frontend unchanged — the router leans on this
-  // when it re-prints slices of a texpr module for its shards.
+  // printer and the tir frontend unchanged — the result cache leans on
+  // this when it stores a compiled texpr function as printer text and
+  // re-parses it on a hit.
   const ir::Module from_texpr = parse_or_die("texpr", kTexprTwin);
   const ir::Module reparsed =
       parse_or_die("tir", ir::to_string(from_texpr));

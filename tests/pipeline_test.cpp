@@ -8,6 +8,7 @@
 
 #include "core/critical.hpp"
 #include "core/thermal_dfa.hpp"
+#include "frontend/frontend.hpp"
 #include "ir/printer.hpp"
 #include "opt/coalesce.hpp"
 #include "opt/cse.hpp"
@@ -220,11 +221,39 @@ TEST_F(PipelineTest, ReportsUnmetPrerequisites) {
   EXPECT_FALSE(no_alloc.ok);
   EXPECT_NE(no_alloc.error.find("alloc"), std::string::npos) << no_alloc.error;
 
+  // A missing ranking fails by name; only an empty one is a no-op.
   const auto no_ranking =
       manager().run(kernel->func, "alloc=linear:first_free,split-hot");
   EXPECT_FALSE(no_ranking.ok);
   EXPECT_NE(no_ranking.error.find("thermal-dfa"), std::string::npos)
       << no_ranking.error;
+  EXPECT_NE(no_ranking.error.find("split-hot requires"), std::string::npos)
+      << no_ranking.error;
+}
+
+TEST_F(PipelineTest, EmptyCriticalRankingIsANoOp) {
+  // thermal-dfa ranks no variable of a constant function, and split-hot
+  // consumes the only one of an identity function; the critical-variable
+  // transforms then have nothing to do, which is not a failure.
+  constexpr const char* kSec4 =
+      "alloc=linear:first_free,thermal-dfa,split-hot=1,spill-critical=1,"
+      "alloc=coloring:coolest_first,schedule";
+  const frontend::Frontend* texpr = frontend::find_frontend("texpr");
+  ASSERT_NE(texpr, nullptr);
+  const machine::TimingModel timing;
+  const std::vector<std::pair<const char*, std::vector<std::int64_t>>>
+      cases = {{"fn g() { return 3; }", {}}, {"fn g(a) { return a; }", {5}}};
+  for (const auto& [source, args] : cases) {
+    frontend::ParseResult parsed = texpr->parse(source);
+    ASSERT_TRUE(parsed.ok()) << source << ": " << parsed.diagnostics_text();
+    const ir::Function& func = parsed.module->functions().front();
+    const auto run = manager().run(func, kSec4);
+    ASSERT_TRUE(run.ok) << source << ": " << run.error;
+    const auto before = sim::Interpreter(func, timing).run(args);
+    const auto after = sim::Interpreter(run.state.func, timing).run(args);
+    ASSERT_TRUE(before.ok() && after.ok()) << source;
+    EXPECT_EQ(after.return_value, before.return_value) << source;
+  }
 }
 
 TEST_F(PipelineTest, NopsRejectsStaleDfaAfterIrReshape) {

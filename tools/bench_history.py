@@ -2,7 +2,8 @@
 """Append benchmark artifacts to the repo's bench history.
 
 Each BENCH_*.json the benches emit (see bench/*.cpp) is one headline
-record: {"bench": ..., "config": {...}, <metrics...>, "git_sha": ...}.
+record: {"bench": ..., "config": {...}, "measured": {...}, <metrics...>,
+"git_sha": ...}.
 This tool appends those records to a JSON-Lines history file keyed by
 git sha and compares each new record against the most recent entry for
 the same (bench, config) pair, printing a warning when a headline
@@ -11,7 +12,10 @@ run across the machine matrix: a throughput record measured on
 machine "dense45" must never be judged against a "default" baseline —
 those are different hardware models, not a regression. The config is
 canonicalized (sorted keys) before keying, so key order in the artifact
-doesn't split history.
+doesn't split history. The config holds inputs only: a measured value
+in it would make every run its own lane, and the gate would never
+compare two runs. Secondary measurements go in "measured", which is
+neither keyed nor compared.
 
 The comparison is warn-only by default: CI runners are shared hardware,
 so absolute numbers jitter run to run and across runner generations. A

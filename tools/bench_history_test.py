@@ -123,6 +123,31 @@ class MainFlowTest(unittest.TestCase):
             self.run_main([first, second], "--fail-on-drop", "0.5"), 1
         )
 
+    def test_measured_values_share_the_config_lane(self):
+        # Secondary measurements vary run to run; they sit outside the
+        # config, so two runs of one bench land in one lane and a drop
+        # in a gated metric is actually compared.
+        base = record("service", {"jobs": 2}, functions_per_sec=100.0)
+        base["measured"] = {"functions_per_sec_cold": 94.2}
+        slow = record("service", {"jobs": 2}, functions_per_sec=50.0)
+        slow["measured"] = {"functions_per_sec_cold": 51.7}
+        self.assertEqual(
+            bench_history.history_key(base), bench_history.history_key(slow)
+        )
+        first = self.write_artifact("a.json", base)
+        self.assertEqual(self.run_main([first]), 0)
+        second = self.write_artifact("b.json", slow)
+        self.assertEqual(
+            self.run_main(
+                [second],
+                "--fail-on-drop",
+                "0.2",
+                "--fail-metrics",
+                "functions_per_sec",
+            ),
+            1,
+        )
+
     def test_fail_metrics_restricts_the_gate(self):
         base = self.write_artifact(
             "a.json",

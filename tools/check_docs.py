@@ -28,7 +28,6 @@ REPO = Path(__file__).resolve().parent.parent
 SECTIONS = {
     "`tadfa` (compile mode)": [],
     "`tadfa serve`": ["serve"],
-    "`tadfa route`": ["route"],
     "`tadfa client`": ["client"],
 }
 

@@ -13,8 +13,6 @@
 //   tadfa --frontend=texpr --machine=dense45 prog.texpr
 //   tadfa serve --socket=/tmp/tadfa.sock --cache-dir=/var/cache/tadfa
 //   tadfa serve --tcp=127.0.0.1:7411 --max-queue=64
-//   tadfa route --socket=/tmp/router.sock --shard=unix:/tmp/s0.sock \
-//       --shard=tcp:127.0.0.1:7411
 //   tadfa client --socket=/tmp/tadfa.sock crc32 fir my.tir
 //   tadfa --list-passes
 #include <algorithm>
@@ -39,7 +37,6 @@
 #include "pipeline/rig.hpp"
 #include "power/access_trace.hpp"
 #include "service/protocol.hpp"
-#include "service/router.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
 #include "sim/interpreter.hpp"
@@ -131,8 +128,6 @@ void print_usage(std::ostream& os, const char* argv0) {
       << "usage: " << argv0 << " [options] <kernel-name | file.tir>...\n"
       << "       " << argv0
       << " serve  [--socket=PATH] [--tcp=HOST:PORT] [serve options]\n"
-      << "       " << argv0
-      << " route  [--socket=PATH] [--tcp=HOST:PORT] --shard=ADDR...\n"
       << "       " << argv0
       << " client (--socket=PATH | --tcp=HOST:PORT) [client options] "
          "<kernel-name | file.tir>...\n"
@@ -422,6 +417,14 @@ int run_compile(int argc, char** argv) {
       std::cerr << input << ": " << parsed.diagnostics_text() << "\n";
       return 1;
     }
+    if (!have_kernel_meta && fe->name() == "kernels") {
+      // A lone kernel name keeps its run metadata, as on the
+      // auto-detected path.
+      if (auto named = workload::make_kernel(std::string(trim(source)))) {
+        kernel = *named;
+        have_kernel_meta = true;
+      }
+    }
     for (ir::Function& f : parsed.module->functions()) {
       module.add_function(std::move(f));
     }
@@ -652,6 +655,15 @@ int run_compile(int argc, char** argv) {
     return 0;
   }
 
+  // The interpreter needs one argument per parameter; a file input has
+  // none unless --args supplies them.
+  if (kernel.default_args.size() != kernel.func.params().size()) {
+    std::cerr << "function '" << kernel.name << "' takes "
+              << kernel.func.params().size() << " argument(s), got "
+              << kernel.default_args.size()
+              << "; pass one value per parameter with --args=N,N,...\n";
+    return 1;
+  }
   const Measured after =
       measure(fp, run.state, kernel.default_args, kernel.init_memory);
   if (!after.ok) {
@@ -961,176 +973,13 @@ int run_serve(const char* argv0, int argc, char** argv) {
   return 0;
 }
 
-void print_route_usage(std::ostream& os, const char* argv0) {
-  os
-      << "usage: " << argv0
-      << " route [--socket=PATH] [--tcp=HOST:PORT] --shard=ADDR... \n"
-      << "  --socket=PATH        Unix-domain socket to listen on\n"
-      << "  --tcp=HOST:PORT      TCP endpoint to listen on (port 0 binds an\n"
-      << "                       ephemeral port); at least one of\n"
-      << "                       --socket/--tcp is required\n"
-      << "  --shard=ADDR         backend compile server, repeated once per\n"
-      << "                       shard: unix:PATH or tcp:HOST:PORT\n"
-      << "  --io-timeout=S       client-connection read/write deadline\n"
-      << "                       (default 30; 0 disables the read deadline)\n"
-      << "  --connect-timeout=S  budget for dialing a shard before routing\n"
-      << "                       around it (default 5)\n"
-      << "  --max-waiters=N      shed BUSY once N requests are already\n"
-      << "                       waiting on one shard's connection\n"
-      << "                       (default 8; 0 = unbounded)\n"
-      << "  --metrics-every=SEC  print aggregate metrics every SEC seconds\n"
-      << "  --metrics-json=PATH  write the metrics snapshot (with a\n"
-      << "                       per-shard breakdown) to PATH every second\n"
-      << "                       and on drain\n"
-      << "  --help               print this help and exit\n"
-      << "Functions are routed to shards by input fingerprint, so each\n"
-      << "shard's cache warms a disjoint slice of the workload. Stop with\n"
-      << "SIGINT/SIGTERM; in-flight requests drain first.\n";
-}
-
-int route_usage(const char* argv0) {
-  print_route_usage(std::cerr, argv0);
-  return 2;
-}
-
-/// `tadfa route`: a sharding front-end over running compile servers.
-int run_route(const char* argv0, int argc, char** argv) {
-  service::RouterConfig cfg;
-  double metrics_every = 0;
-  std::string metrics_json_path;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) -> std::optional<std::string> {
-      if (starts_with(arg, prefix)) {
-        return arg.substr(prefix.size());
-      }
-      return std::nullopt;
-    };
-    if (arg == "--help") {
-      print_route_usage(std::cout, argv0);
-      return 0;
-    }
-    if (auto v = value("--socket=")) {
-      cfg.socket_path = *v;
-    } else if (auto v = value("--tcp=")) {
-      std::string tcp_error;
-      auto endpoint = service::parse_host_port(*v, &tcp_error);
-      if (!endpoint.has_value()) {
-        std::cerr << "bad --tcp value: " << tcp_error << "\n";
-        return route_usage(argv0);
-      }
-      cfg.tcp_host = endpoint->host;
-      cfg.tcp_port = endpoint->port;
-    } else if (auto v = value("--shard=")) {
-      std::string shard_error;
-      auto address = service::parse_shard_address(*v, &shard_error);
-      if (!address.has_value()) {
-        std::cerr << "bad --shard value: " << shard_error << "\n";
-        return route_usage(argv0);
-      }
-      cfg.shards.push_back(std::move(*address));
-    } else if (auto v = value("--io-timeout=")) {
-      if (!parse_double(*v, cfg.io_timeout_seconds) ||
-          cfg.io_timeout_seconds < 0) {
-        return route_usage(argv0);
-      }
-    } else if (auto v = value("--connect-timeout=")) {
-      if (!parse_double(*v, cfg.connect_timeout_seconds) ||
-          cfg.connect_timeout_seconds < 0) {
-        return route_usage(argv0);
-      }
-    } else if (auto v = value("--max-waiters=")) {
-      long long n = 0;
-      if (!parse_int(*v, n) || n < 0) {
-        return route_usage(argv0);
-      }
-      cfg.max_shard_waiters = static_cast<std::size_t>(n);
-    } else if (auto v = value("--metrics-every=")) {
-      if (!parse_double(*v, metrics_every) || metrics_every < 0) {
-        return route_usage(argv0);
-      }
-    } else if (auto v = value("--metrics-json=")) {
-      metrics_json_path = *v;
-    } else {
-      return route_usage(argv0);
-    }
-  }
-  if ((cfg.socket_path.empty() && cfg.tcp_host.empty()) ||
-      cfg.shards.empty()) {
-    return route_usage(argv0);
-  }
-
-  sigset_t signals;
-  sigemptyset(&signals);
-  sigaddset(&signals, SIGINT);
-  sigaddset(&signals, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
-
-  service::Router router(cfg);
-  if (!router.start()) {
-    std::cerr << "tadfa route: " << router.error() << "\n";
-    return 1;
-  }
-  std::string listening;
-  if (!cfg.socket_path.empty()) {
-    listening = cfg.socket_path;
-  }
-  if (!cfg.tcp_host.empty()) {
-    if (!listening.empty()) {
-      listening += " and ";
-    }
-    listening +=
-        "tcp:" + cfg.tcp_host + ":" + std::to_string(router.tcp_port());
-  }
-  std::cout << "tadfa route: listening on " << listening << ", "
-            << cfg.shards.size() << " shard"
-            << (cfg.shards.size() == 1 ? "" : "s") << ":";
-  for (const service::ShardAddress& shard : cfg.shards) {
-    std::cout << ' ' << shard.describe();
-  }
-  std::cout << "\n" << std::flush;
-
-  using Clock = std::chrono::steady_clock;
-  auto last_metrics = Clock::now();
-  std::string json_error;
-  for (;;) {
-    timespec tick{};
-    tick.tv_sec = 1;
-    const int sig = sigtimedwait(&signals, nullptr, &tick);
-    if (sig == SIGINT || sig == SIGTERM) {
-      std::cout << "tadfa route: caught "
-                << (sig == SIGINT ? "SIGINT" : "SIGTERM")
-                << ", draining\n";
-      break;
-    }
-    if (!metrics_json_path.empty() &&
-        !router.write_metrics_json(metrics_json_path, &json_error)) {
-      std::cerr << "tadfa route: " << json_error << "\n";
-    }
-    if (metrics_every > 0 &&
-        std::chrono::duration<double>(Clock::now() - last_metrics).count() >=
-            metrics_every) {
-      router.metrics_table().print(std::cout);
-      std::cout << std::flush;
-      last_metrics = Clock::now();
-    }
-  }
-  router.shutdown();
-  if (!metrics_json_path.empty() &&
-      !router.write_metrics_json(metrics_json_path, &json_error)) {
-    std::cerr << "tadfa route: " << json_error << "\n";
-  }
-  router.metrics_table("compile router — final").print(std::cout);
-  return 0;
-}
-
 void print_client_usage(std::ostream& os, const char* argv0) {
   os
       << "usage: " << argv0
       << " client (--socket=PATH | --tcp=HOST:PORT) [options] "
          "<kernel-name | file.tir>...\n"
       << "  --socket=PATH        server Unix-domain socket\n"
-      << "  --tcp=HOST:PORT      server (or router) TCP endpoint; exactly\n"
+      << "  --tcp=HOST:PORT      server TCP endpoint; exactly\n"
       << "                       one of --socket/--tcp is required\n"
       << "  --busy-timeout=S     keep retrying a BUSY response with bounded\n"
       << "                       exponential backoff for S seconds (default\n"
@@ -1426,9 +1275,6 @@ int tadfa_main(int argc, char** argv) {
     }
     if (subcommand == "serve") {
       return run_serve(argv[0], argc - 2, argv + 2);
-    }
-    if (subcommand == "route") {
-      return run_route(argv[0], argc - 2, argv + 2);
     }
     if (subcommand == "client") {
       return run_client(argv[0], argc - 2, argv + 2);
