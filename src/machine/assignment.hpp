@@ -45,6 +45,9 @@ class RegisterAssignment {
   /// Distinct physical registers used.
   std::vector<PhysReg> used_physical() const;
 
+  friend bool operator==(const RegisterAssignment&,
+                         const RegisterAssignment&) = default;
+
  private:
   std::vector<PhysReg> map_;
 };

@@ -53,8 +53,8 @@ PipelineRunResult resume_one(const PassManager& manager, ResumeState resume,
   }
 }
 
-/// The passes whose re-run dominates a compile, for
-/// StagePolicy::after_expensive.
+/// The passes whose re-run dominates a compile; an enabled StagePolicy
+/// snapshots after each of them.
 bool is_expensive_pass(const PassSpec& spec) {
   return spec.name == "thermal-dfa" || spec.name == "alloc" ||
          spec.name == "reassign";
@@ -67,21 +67,14 @@ bool StagePolicy::wants(std::size_t index,
   if (!enabled || index >= passes.size()) {
     return false;
   }
-  if (at_end && index + 1 == passes.size()) {
-    return true;
-  }
-  if (after_expensive && is_expensive_pass(passes[index])) {
-    return true;
-  }
-  return every_k != 0 && (index + 1) % every_k == 0;
+  return is_expensive_pass(passes[index]) ||
+         (every_k != 0 && (index + 1) % every_k == 0);
 }
 
 std::uint64_t StagePolicy::digest() const {
   return Hasher(0x7374672d706f6cull /* "stg-pol" */)
       .mix(static_cast<std::uint64_t>(enabled))
-      .mix(static_cast<std::uint64_t>(after_expensive))
       .mix(static_cast<std::uint64_t>(every_k))
-      .mix(static_cast<std::uint64_t>(at_end))
       .digest();
 }
 
@@ -137,17 +130,14 @@ ModulePipelineResult CompilationDriver::compile(
   std::vector<std::uint32_t> resumed(n, 0);
 
   // Cache-key ingredients shared by every worker. Keys mix the input
-  // fingerprint, the canonical spec, the compilation-environment
-  // digest, and the manager toggles that alter recorded statistics.
-  // Incremental mode folds the stage policy in as well: boundary
-  // normalization changes the recorded analysis counters, so staged and
-  // unstaged runs of the same spec must not share entries (a disabled
-  // policy contributes nothing, keeping pre-incremental caches warm).
+  // fingerprint, the spec prefix, the compilation-environment digest,
+  // and the manager toggles that alter recorded statistics. Incremental
+  // mode folds the stage policy in as well: boundary normalization
+  // changes the recorded analysis counters, so staged and unstaged runs
+  // of the same spec must not share records.
   const bool staged = cache_ != nullptr && stage_policy_.enabled;
-  std::string canonical_spec;
   std::uint64_t env_digest = 0;
   if (cache_ != nullptr) {
-    canonical_spec = spec_to_string(passes);
     Hasher h;
     h.mix(ResultCache::context_digest(manager_.context()))
         .mix(static_cast<std::uint64_t>(manager_.checkpoints()))
@@ -158,16 +148,15 @@ ModulePipelineResult CompilationDriver::compile(
     env_digest = h.digest();
   }
 
-  // Boundary mask and spec-prefix digests, computed once: the workers
-  // share them read-only. prefix_digests[k] keys the stage after the
-  // first k passes.
+  // Boundary mask, computed once and shared read-only by the workers.
+  // With a cache attached the last boundary is always frozen: that
+  // snapshot is the finished compile a later run restores.
   std::vector<unsigned char> boundary(passes.size(), 0);
-  std::vector<std::uint64_t> prefix_digests(passes.size() + 1, 0);
-  if (staged) {
+  if (cache_ != nullptr && !passes.empty()) {
     for (std::size_t i = 0; i < passes.size(); ++i) {
       boundary[i] = stage_policy_.wants(i, passes) ? 1 : 0;
-      prefix_digests[i + 1] = spec_prefix_digest(passes, i + 1);
     }
+    boundary.back() = 1;
   }
 
   // Edit-aware mode: build the module's dependency graph, diff it
@@ -189,7 +178,8 @@ ModulePipelineResult CompilationDriver::compile(
   if (edit_aware) {
     now_graph = DependencyGraph::build(module);
     graph_key = ResultCache::make_graph_key(now_graph.names_digest(),
-                                            canonical_spec, env_digest);
+                                            spec_to_string(passes),
+                                            env_digest);
     DependencyGraph before;
     try {
       auto record = cache_->lookup_graph(graph_key);
@@ -228,127 +218,83 @@ ModulePipelineResult CompilationDriver::compile(
     }
   }
 
-  // One work item: probe the persistent cache (a warm restore is
-  // byte-identical to a fresh compile and parallelizes like one), and
-  // on a miss compile + insert. The result settles into its slot
-  // BEFORE the cache snapshot: moving a PipelineState drops computed
-  // analyses and counts their invalidations, and that move happens to
-  // every result on its way into `slots` — an entry captured pre-move
-  // would replay counters one invalidation short of a fresh run's.
-  // Both cache calls run shielded: this lambda executes on pool worker
-  // threads, where an escaping exception (a std::filesystem_error from a
-  // cache directory deleted mid-run, a full disk, a permission flip)
-  // would reach std::thread's trap and std::terminate the whole process.
-  // A throwing probe degrades to a miss and a throwing insert to a
-  // skipped store — the compile itself must never die of cache trouble.
+  // One work item: one probe of the persistent cache (a warm restore is
+  // byte-identical to a fresh compile and parallelizes like one), then
+  // on a miss a compile — or a resume from a cached prefix — whose
+  // snapshot hooks freeze the policy's boundaries and the finished
+  // result. Every cache call runs shielded: this lambda executes on
+  // pool worker threads, where an escaping exception (a
+  // std::filesystem_error from a cache directory deleted mid-run, a full
+  // disk, a permission flip) would reach std::thread's trap and
+  // std::terminate the whole process. A throwing probe degrades to a
+  // miss and a throwing store to a skipped one — the compile itself
+  // must never die of cache trouble.
   auto process = [&](std::size_t i) {
-    CacheKey key;
-    std::uint64_t input_fp = 0;
+    if (cache_ == nullptr) {
+      slots[i].emplace(compile_one(manager_, funcs[i], passes, {}));
+      return;
+    }
+    const std::uint64_t input_fp = ir::fingerprint(funcs[i]);
+    const std::uint64_t env = edit_aware ? env_for[i] : env_digest;
+    SnapshotHooks hooks;
+    hooks.want = [&boundary](std::size_t index) {
+      return boundary[index] != 0;
+    };
+    hooks.sink = [this, input_fp, env, &passes](
+                     std::size_t passes_done, const PipelineSnapshot& snapshot,
+                     const std::vector<PassRunStats>& pass_stats,
+                     const std::vector<AnalysisManager::AnalysisStats>&
+                         analysis_stats,
+                     double prefix_seconds) {
+      StageEntry entry;
+      entry.passes_done = static_cast<std::uint32_t>(passes_done);
+      entry.snapshot = snapshot;
+      entry.pass_stats = pass_stats;
+      entry.analysis_stats = analysis_stats;
+      entry.prefix_seconds = prefix_seconds;
+      try {
+        cache_->insert_stage(input_fp, passes, env, entry);
+      } catch (...) {
+        cache_->count_store_fault();
+      }
+    };
+
     // A degraded edit-aware run compiles everything cold: with the
     // cached graph unreadable the per-function verdicts are gone, and
     // "recompile the module" is the answer that cannot be wrong.
-    const std::uint64_t env = edit_aware ? env_for[i] : env_digest;
-    if (cache_ != nullptr) {
-      input_fp = ir::fingerprint(funcs[i]);
-      key = ResultCache::make_key(input_fp, canonical_spec, env);
-      if (!degraded) {
-        try {
-          if (auto hit = cache_->lookup(key, funcs[i].name())) {
-            slots[i].emplace(std::move(*hit));
-            from_cache[i] = 1;
-            return;
-          }
-        } catch (...) {
-          cache_->count_lookup_fault();
-        }
-      }
-    }
-
-    // Incremental mode: every compile (cold or resumed) freezes a stage
-    // snapshot at each policy boundary, keyed by the input fingerprint
-    // and the spec prefix it completes. A throwing store degrades to a
-    // skipped one, same as the full-entry insert below.
-    SnapshotHooks hooks;
-    if (staged) {
-      hooks.want = [&boundary](std::size_t index) {
-        return boundary[index] != 0;
-      };
-      hooks.sink = [this, input_fp, env, &prefix_digests](
-                       std::size_t passes_done,
-                       const PipelineSnapshot& snapshot,
-                       const std::vector<PassRunStats>& pass_stats,
-                       const std::vector<AnalysisManager::AnalysisStats>&
-                           analysis_stats,
-                       double prefix_seconds) {
-        StageEntry entry;
-        entry.passes_done = static_cast<std::uint32_t>(passes_done);
-        entry.snapshot = snapshot;
-        entry.pass_stats = pass_stats;
-        entry.analysis_stats = analysis_stats;
-        entry.prefix_seconds = prefix_seconds;
-        try {
-          cache_->insert_stage(
-              ResultCache::make_stage_key(
-                  input_fp, prefix_digests[passes_done], env),
-              entry);
-        } catch (...) {
-          cache_->count_store_fault();
-        }
-      };
-    }
-
-    // Longest-prefix probe: resume from the deepest cached boundary of
-    // this spec instead of compiling from pass 0. A failed resume (a
-    // pass error on the restored state, a verifier rejection, a stray
-    // exception) falls through to the full compile below.
-    if (staged && !degraded) {
-      std::optional<ResumeState> resume;
+    if (!degraded) {
+      std::optional<ResumeState> restored;
       try {
-        resume = cache_->lookup_longest_stage(input_fp, passes, env,
-                                              funcs[i].name());
+        restored = cache_->lookup_longest_stage(input_fp, passes, env,
+                                                funcs[i].name(), staged);
       } catch (...) {
         cache_->count_lookup_fault();
       }
-      if (resume.has_value()) {
-        const auto done = static_cast<std::uint32_t>(resume->passes_done);
-        PipelineRunResult run =
-            resume_one(manager_, std::move(*resume), funcs[i], passes, hooks);
+      if (restored.has_value() && restored->passes_done == passes.size()) {
+        // The snapshot after the last pass is the finished compile: no
+        // pass is instantiated, nothing re-runs.
+        PipelineRunResult& run = slots[i].emplace(std::move(restored->state));
+        run.ok = true;
+        run.pass_stats = std::move(restored->pass_stats);
+        run.total_seconds = restored->prefix_seconds;
+        from_cache[i] = 1;
+        return;
+      }
+      // A shorter prefix resumes; a failed resume (a pass error on the
+      // restored state, a verifier rejection, a stray exception) falls
+      // through to the full compile below.
+      if (restored.has_value()) {
+        const auto done = static_cast<std::uint32_t>(restored->passes_done);
+        PipelineRunResult run = resume_one(manager_, std::move(*restored),
+                                           funcs[i], passes, hooks);
         if (run.ok) {
-          std::optional<ThermalSummary> thermal;
-          if (run.state.dfa() != nullptr) {
-            thermal = summarize_dfa(*run.state.dfa());
-          }
           slots[i].emplace(std::move(run));
           resumed[i] = done;
-          // A resumed success is byte-identical to a cold compile, so
-          // it also warms the full-run entry this probe missed above.
-          try {
-            cache_->insert(key, *slots[i], std::move(thermal));
-          } catch (...) {
-            cache_->count_store_fault();
-          }
           return;
         }
       }
     }
-
-    PipelineRunResult run = compile_one(manager_, funcs[i], passes, hooks);
-    // The thermal summary must be taken pre-move (the move into the
-    // slot sheds the computed ThermalDfaResult), while the statistics
-    // snapshot must be post-move (the move also counts the shedding as
-    // invalidations) — hence summary here, insert below.
-    std::optional<ThermalSummary> thermal;
-    if (cache_ != nullptr && run.ok && run.state.dfa() != nullptr) {
-      thermal = summarize_dfa(*run.state.dfa());
-    }
-    slots[i].emplace(std::move(run));
-    if (cache_ != nullptr && slots[i]->ok) {
-      try {
-        cache_->insert(key, *slots[i], std::move(thermal));
-      } catch (...) {
-        cache_->count_store_fault();
-      }
-    }
+    slots[i].emplace(compile_one(manager_, funcs[i], passes, hooks));
   };
 
   if (result.jobs <= 1) {

@@ -30,27 +30,26 @@ namespace tadfa::pipeline {
 
 class ResultCache;
 
-/// When (and whether) the driver freezes pass-boundary snapshots into
-/// the attached ResultCache, and therefore whether it probes for a
-/// resumable prefix before compiling (`tadfa --incremental`).
+/// Where the driver freezes extra pass-boundary snapshots into the
+/// attached ResultCache, and therefore whether it probes for a
+/// resumable prefix before compiling (`tadfa --incremental`). The
+/// boundary after the last pass is not the policy's: with any cache
+/// attached, the driver always freezes it, because that record is the
+/// finished compile.
 struct StagePolicy {
-  /// Master switch; everything below is ignored while false.
-  bool enabled = false;
-  /// Snapshot after passes whose re-run dominates a compile — the
+  /// Master switch; every_k is ignored while false. When on, the driver
+  /// snapshots after passes whose re-run dominates a compile — the
   /// thermal DFA's iterate-to-δ fixpoint and register allocation.
-  bool after_expensive = true;
+  bool enabled = false;
   /// Also snapshot after every k-th pass (0 = off).
   unsigned every_k = 0;
-  /// Snapshot after the final pass: the boundary a future spec
-  /// *extension* resumes from (a full-run entry stores no artifacts).
-  bool at_end = true;
 
   /// True when boundary `index` (after passes[index]) gets a snapshot.
   bool wants(std::size_t index, const std::vector<PassSpec>& passes) const;
 
   /// Folded into the cache environment digest while enabled: boundary
   /// normalization changes the recorded analysis counters, so runs
-  /// under different stage placements must not share entries.
+  /// under different stage placements must not share records.
   std::uint64_t digest() const;
 };
 
@@ -143,18 +142,19 @@ class CompilationDriver {
   }
 
   /// Attaches a persistent result cache (nullptr detaches; not owned).
-  /// Every work item probes the cache before compiling — restores run
+  /// Every work item makes one probe before compiling — restores run
   /// on the pool just like compiles, so a warm run parallelizes too —
-  /// and inserts its result after a miss compiles. A warm run over an
-  /// unchanged module re-runs no pass at all and produces byte-identical
-  /// module output to the cold run at any job count, extending the
-  /// determinism guarantee across processes.
+  /// and a compile freezes its finished result as the snapshot after
+  /// the last pass. A warm run over an unchanged module re-runs no pass
+  /// at all and produces byte-identical module output to the cold run
+  /// (register assignment and DFA result included) at any job count,
+  /// extending the determinism guarantee across processes.
   void set_result_cache(ResultCache* cache) { cache_ = cache; }
 
-  /// Enables incremental compilation against the attached cache: work
-  /// items probe for the longest cached spec prefix, resume from it,
-  /// and freeze new snapshots at the policy's boundaries. No effect
-  /// without a result cache.
+  /// Enables incremental compilation against the attached cache: the
+  /// probe also tries shorter spec prefixes, a hit resumes from the
+  /// longest one, and compiles freeze snapshots at the policy's
+  /// boundaries as well. No effect without a result cache.
   void set_stage_policy(StagePolicy policy) { stage_policy_ = policy; }
   const StagePolicy& stage_policy() const { return stage_policy_; }
 

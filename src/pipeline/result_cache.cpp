@@ -6,26 +6,12 @@
 #include <fstream>
 #include <sstream>
 
-#include "ir/parser.hpp"
-#include "ir/printer.hpp"
 #include "support/string_utils.hpp"
 
 namespace tadfa::pipeline {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// 64-bit magic at the head of every full-run entry file ("TADFA RC").
-constexpr std::uint64_t kMagic = 0x5441444641524331ull;
-/// 64-bit magic at the head of every stage entry file ("TADFA SG").
-constexpr std::uint64_t kStageMagic = 0x5441444641534731ull;
-/// Seed of the stage payload checksum stream.
-constexpr std::uint64_t kStagePayloadSeed = 0x7374672d73756d31ull;
-/// 64-bit magic at the head of every dependency-graph record
-/// ("TADFADG1").
-constexpr std::uint64_t kGraphMagic = 0x5441444641444731ull;
-/// Seed of the graph payload checksum stream ("dep-sum1").
-constexpr std::uint64_t kGraphPayloadSeed = 0x6465702d73756d31ull;
 
 constexpr const char* kIndexName = "index.txt";
 constexpr const char* kIndexHeader = "tadfa-result-cache-index v1";
@@ -101,127 +87,6 @@ bool write_file_atomic(const fs::path& path, const std::string& bytes) {
 }  // namespace
 
 std::string CacheKey::text() const { return hex64(hi) + hex64(lo); }
-
-// --- CachedResult ------------------------------------------------------------
-
-CachedResult CachedResult::from_run(const PipelineRunResult& run) {
-  CachedResult entry;
-  entry.function_text = ir::to_string(run.state.func);
-  entry.reg_count = run.state.func.reg_count();
-  entry.stack_slots = run.state.func.stack_slot_count();
-  entry.spilled_regs = run.state.spilled_regs;
-  entry.function_fingerprint = ir::fingerprint(run.state.func);
-  entry.total_seconds = run.total_seconds;
-  entry.pass_stats = run.pass_stats;
-  entry.analysis_stats = run.state.analyses.stats();
-  if (const core::ThermalDfaResult* dfa = run.state.dfa()) {
-    entry.thermal = summarize_dfa(*dfa);
-  }
-  return entry;
-}
-
-std::optional<PipelineRunResult> CachedResult::to_run(
-    const std::string& function_name) const {
-  ir::ParseError error;
-  auto func = ir::parse_function(function_text, &error);
-  if (!func.has_value()) {
-    return std::nullopt;
-  }
-  // The text format carries neither trailing unused registers nor the
-  // stack-slot counter; restore both so the reconstructed function is
-  // indistinguishable from the one that was stored.
-  func->set_name(function_name);
-  func->ensure_regs(reg_count);
-  while (func->stack_slot_count() < stack_slots) {
-    func->allocate_stack_slot();
-  }
-  if (ir::fingerprint(*func) != function_fingerprint) {
-    return std::nullopt;
-  }
-  PipelineRunResult run(std::move(*func));
-  run.ok = true;
-  run.total_seconds = total_seconds;
-  run.pass_stats = pass_stats;
-  run.state.spilled_regs = spilled_regs;
-  run.state.analyses.import_stats(analysis_stats);
-  if (thermal.has_value()) {
-    // Re-materialize the thermal result so state.dfa() answers on a
-    // warm run just as it does on a cold one — in summary form: the
-    // convergence verdict, exit map, and exit temperatures survive the
-    // cache; the bulky per-instruction states and δ history do not
-    // (nothing downstream of a finished module compile reads them).
-    run.state.analyses.restore(thermal->to_result());
-  }
-  return run;
-}
-
-void CachedResult::serialize(ByteWriter& w) const {
-  w.str(function_text);
-  w.u32(reg_count);
-  w.u32(stack_slots);
-  w.u32(spilled_regs);
-  w.u64(function_fingerprint);
-  w.f64(total_seconds);
-  w.u64(pass_stats.size());
-  for (const PassRunStats& s : pass_stats) {
-    w.str(s.name);
-    w.f64(s.seconds);
-    w.str(s.summary);
-    w.boolean(s.changed);
-    w.u64(s.instructions_after);
-    w.u32(s.vregs_after);
-  }
-  w.u64(analysis_stats.size());
-  for (const AnalysisManager::AnalysisStats& s : analysis_stats) {
-    w.str(s.name);
-    w.u64(s.hits);
-    w.u64(s.misses);
-    w.u64(s.puts);
-    w.u64(s.invalidations);
-  }
-  w.boolean(thermal.has_value());
-  if (thermal.has_value()) {
-    thermal->serialize(w);
-  }
-}
-
-std::optional<CachedResult> CachedResult::deserialize(ByteReader& r) {
-  CachedResult entry;
-  entry.function_text = r.str();
-  entry.reg_count = r.u32();
-  entry.stack_slots = r.u32();
-  entry.spilled_regs = r.u32();
-  entry.function_fingerprint = r.u64();
-  entry.total_seconds = r.f64();
-  const std::uint64_t num_passes = r.u64();
-  for (std::uint64_t i = 0; i < num_passes && r.ok(); ++i) {
-    PassRunStats s;
-    s.name = r.str();
-    s.seconds = r.f64();
-    s.summary = r.str();
-    s.changed = r.boolean();
-    s.instructions_after = r.u64();
-    s.vregs_after = r.u32();
-    entry.pass_stats.push_back(std::move(s));
-  }
-  const std::uint64_t num_analyses = r.u64();
-  for (std::uint64_t i = 0; i < num_analyses && r.ok(); ++i) {
-    AnalysisManager::AnalysisStats s;
-    s.name = r.str();
-    s.hits = r.u64();
-    s.misses = r.u64();
-    s.puts = r.u64();
-    s.invalidations = r.u64();
-    entry.analysis_stats.push_back(std::move(s));
-  }
-  if (r.boolean()) {
-    entry.thermal = ThermalSummary::deserialize(r);
-  }
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  return entry;
-}
 
 // --- StageEntry --------------------------------------------------------------
 
@@ -336,23 +201,6 @@ std::uint64_t ResultCache::context_digest(const PipelineContext& ctx) {
   return h.digest();
 }
 
-CacheKey ResultCache::make_key(std::uint64_t function_fingerprint,
-                               const std::string& canonical_spec,
-                               std::uint64_t context_digest) {
-  CacheKey key;
-  key.hi = Hasher(0x68692d6b6579ull /* "hi-key" */)
-               .mix(function_fingerprint)
-               .mix(canonical_spec)
-               .mix(context_digest)
-               .digest();
-  key.lo = Hasher(0x6c6f2d6b6579ull /* "lo-key" */)
-               .mix(function_fingerprint)
-               .mix(canonical_spec)
-               .mix(context_digest)
-               .digest();
-  return key;
-}
-
 CacheKey ResultCache::make_stage_key(std::uint64_t function_fingerprint,
                                      std::uint64_t spec_prefix_digest,
                                      std::uint64_t context_digest) {
@@ -392,93 +240,22 @@ fs::path ResultCache::entry_path(const CacheKey& key) const {
   return dir_ / text.substr(0, 2) / (text.substr(2) + ".entry");
 }
 
-std::optional<CachedResult> ResultCache::read_entry(const CacheKey& key) {
-  const auto bytes = read_file(entry_path(key));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ByteReader r(*bytes);
-  const bool header_ok = r.u64() == kMagic && r.u32() == kFormatVersion &&
-                         r.u64() == key.hi && r.u64() == key.lo;
-  std::optional<CachedResult> entry;
-  if (header_ok) {
-    entry = CachedResult::deserialize(r);
-    // Trailing garbage means the record is not what serialize() wrote.
-    if (entry.has_value() && r.remaining() != 0) {
-      entry.reset();
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!entry.has_value()) {
-    ++stats_.misses;
-    remove_entry_locked(key.text(), /*count_bad=*/true);
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  auto it = index_.find(key.text());
-  if (it != index_.end()) {
-    it->second.seq = next_seq_++;  // LRU touch (persisted on next insert)
-  }
-  return entry;
-}
-
-std::optional<CachedResult> ResultCache::lookup_entry(const CacheKey& key) {
-  if (fault_hook_) {
-    fault_hook_("lookup");
-  }
-  if (!ok_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  return read_entry(key);
-}
-
-std::optional<PipelineRunResult> ResultCache::lookup(
-    const CacheKey& key, const std::string& function_name) {
-  auto entry = lookup_entry(key);
-  if (!entry.has_value()) {
-    return std::nullopt;
-  }
-  auto run = entry->to_run(function_name);
-  if (!run.has_value()) {
-    // Parsed header but unreconstructable payload: re-classify the hit
-    // as a corrupt entry and fall back to a clean recompile.
-    std::lock_guard<std::mutex> lock(mu_);
-    --stats_.hits;
-    ++stats_.misses;
-    remove_entry_locked(key.text(), /*count_bad=*/true);
-    return std::nullopt;
-  }
-  return run;
-}
-
-bool ResultCache::insert(const CacheKey& key, const PipelineRunResult& run,
-                         std::optional<ThermalSummary> thermal) {
-  if (fault_hook_) {
-    fault_hook_("insert");
-  }
-  if (!ok_ || !run.ok) {
-    return false;
-  }
+bool ResultCache::write_record(const CacheKey& key, const Envelope& kind,
+                               std::string_view payload,
+                               std::uint64_t ResultCacheStats::*counter) {
   ByteWriter w;
-  w.u64(kMagic);
-  w.u32(kFormatVersion);
+  w.u64(kind.magic);
+  w.u32(kind.version);
   w.u64(key.hi);
   w.u64(key.lo);
-  CachedResult entry = CachedResult::from_run(run);
-  if (!entry.thermal.has_value()) {
-    entry.thermal = std::move(thermal);
-  }
-  entry.serialize(w);
-  return store_bytes_locked_free(key, w.data(), EntryKind::kFull);
-}
+  w.str(payload);
+  // Whole-payload checksum: a stage snapshot's function fingerprint
+  // cannot vouch for the artifacts riding along (assignment, ranking,
+  // gating), and a graph payload is opaque to this layer, so a bit flip
+  // anywhere in the payload must fail loudly on the read side.
+  w.u64(Hasher(kind.payload_seed).mix(payload).digest());
+  const std::string& bytes = w.data();
 
-bool ResultCache::store_bytes_locked_free(const CacheKey& key,
-                                          const std::string& bytes,
-                                          EntryKind kind) {
   const fs::path path = entry_path(key);
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
@@ -488,17 +265,7 @@ bool ResultCache::store_bytes_locked_free(const CacheKey& key,
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  switch (kind) {
-    case EntryKind::kFull:
-      ++stats_.stores;
-      break;
-    case EntryKind::kStage:
-      ++stats_.stage_stores;
-      break;
-    case EntryKind::kGraph:
-      ++stats_.graph_stores;
-      break;
-  }
+  ++(stats_.*counter);
   IndexEntry& row = index_[key.text()];
   bytes_total_ += bytes.size() - row.bytes;  // 0 for a fresh row
   row.bytes = bytes.size();
@@ -514,128 +281,136 @@ bool ResultCache::store_bytes_locked_free(const CacheKey& key,
   return true;
 }
 
-// --- Stage entries -----------------------------------------------------------
-
-bool ResultCache::insert_stage(const CacheKey& key, const StageEntry& stage) {
-  if (fault_hook_) {
-    fault_hook_("stage-insert");
-  }
+ResultCache::GraphRecord ResultCache::read_record(const CacheKey& key,
+                                                  const Envelope& kind) {
+  GraphRecord record;
   if (!ok_) {
-    return false;
+    return record;
   }
-  ByteWriter payload;
-  stage.serialize(payload);
-  ByteWriter w;
-  w.u64(kStageMagic);
-  w.u32(kStageFormatVersion);
-  w.u64(key.hi);
-  w.u64(key.lo);
-  w.str(payload.data());
-  // Whole-payload checksum: the snapshot's function fingerprint cannot
-  // vouch for the artifacts riding along (assignment, ranking, gating),
-  // so a bit flip anywhere in the payload must fail loudly here.
-  w.u64(Hasher(kStagePayloadSeed)
-            .mix(std::string_view(payload.data()))
-            .digest());
-  return store_bytes_locked_free(key, w.data(), EntryKind::kStage);
-}
-
-std::optional<StageEntry> ResultCache::read_stage(const CacheKey& key,
-                                                  bool count_stats) {
   const auto bytes = read_file(entry_path(key));
   if (!bytes.has_value()) {
-    if (count_stats) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.stage_misses;
-    }
-    return std::nullopt;
+    return record;
   }
   ByteReader r(*bytes);
-  const bool header_ok = r.u64() == kStageMagic &&
-                         r.u32() == kStageFormatVersion &&
-                         r.u64() == key.hi && r.u64() == key.lo;
-  std::optional<StageEntry> entry;
-  if (header_ok) {
-    const std::string payload = r.str();
+  bool valid = r.u64() == kind.magic && r.u32() == kind.version &&
+               r.u64() == key.hi && r.u64() == key.lo;
+  if (valid) {
+    record.payload = r.str();
     const std::uint64_t digest = r.u64();
-    if (r.ok() && r.remaining() == 0 &&
-        Hasher(kStagePayloadSeed)
-                .mix(std::string_view(payload))
-                .digest() == digest) {
-      ByteReader pr(payload);
-      entry = StageEntry::deserialize(pr);
-      if (entry.has_value() && pr.remaining() != 0) {
-        entry.reset();
-      }
-    }
+    valid = r.ok() && r.remaining() == 0 &&
+            Hasher(kind.payload_seed)
+                    .mix(std::string_view(record.payload))
+                    .digest() == digest;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (!entry.has_value()) {
-    if (count_stats) {
-      ++stats_.stage_misses;
-    }
+  if (!valid) {
+    // A record exists but cannot be trusted: delete it (releasing its
+    // bytes with the index row) so the next store rewrites it.
     remove_entry_locked(key.text(), /*count_bad=*/true);
+    record.payload.clear();
+    record.status = GraphReadStatus::kCorrupt;
+    return record;
+  }
+  if (auto it = index_.find(key.text()); it != index_.end()) {
+    it->second.seq = next_seq_++;  // LRU touch (persisted on next insert)
+  }
+  record.status = GraphReadStatus::kHit;
+  return record;
+}
+
+std::optional<StageEntry> ResultCache::read_stage(const CacheKey& key) {
+  const GraphRecord record = read_record(key, kStageEnvelope);
+  if (record.status != GraphReadStatus::kHit) {
     return std::nullopt;
   }
-  if (count_stats) {
-    ++stats_.stage_hits;
-  }
-  auto it = index_.find(key.text());
-  if (it != index_.end()) {
-    it->second.seq = next_seq_++;  // LRU touch (persisted on next insert)
+  ByteReader r(record.payload);
+  auto entry = StageEntry::deserialize(r);
+  if (!entry.has_value() || r.remaining() != 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    remove_entry_locked(key.text(), /*count_bad=*/true);
+    return std::nullopt;
   }
   return entry;
 }
 
-std::optional<StageEntry> ResultCache::lookup_stage(const CacheKey& key) {
+// --- Stage records -----------------------------------------------------------
+
+bool ResultCache::insert_stage(std::uint64_t function_fingerprint,
+                               const std::vector<PassSpec>& passes,
+                               std::uint64_t context_digest,
+                               const StageEntry& stage) {
   if (fault_hook_) {
-    fault_hook_("stage-lookup");
+    fault_hook_("insert");
   }
-  if (!ok_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.stage_misses;
-    return std::nullopt;
+  const std::size_t k = stage.passes_done;
+  if (!ok_ || k == 0 || k > passes.size()) {
+    return false;
   }
-  return read_stage(key, /*count_stats=*/true);
+  ByteWriter payload;
+  stage.serialize(payload);
+  return write_record(
+      make_stage_key(function_fingerprint, spec_prefix_digest(passes, k),
+                     context_digest),
+      kStageEnvelope, payload.data(),
+      k == passes.size() ? &ResultCacheStats::stores
+                         : &ResultCacheStats::stage_stores);
+}
+
+std::optional<StageEntry> ResultCache::lookup_stage(
+    std::uint64_t function_fingerprint, const std::vector<PassSpec>& passes,
+    std::size_t k, std::uint64_t context_digest) {
+  if (fault_hook_) {
+    fault_hook_("lookup");
+  }
+  auto entry = read_stage(make_stage_key(
+      function_fingerprint, spec_prefix_digest(passes, k), context_digest));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (k == passes.size()) {
+    ++(entry ? stats_.hits : stats_.misses);
+  } else {
+    ++(entry ? stats_.stage_hits : stats_.stage_misses);
+  }
+  return entry;
 }
 
 std::optional<ResumeState> ResultCache::lookup_longest_stage(
     std::uint64_t function_fingerprint, const std::vector<PassSpec>& passes,
-    std::uint64_t context_digest, const std::string& function_name) {
+    std::uint64_t context_digest, const std::string& function_name,
+    bool prefixes) {
   if (fault_hook_) {
-    fault_hook_("stage-lookup");
+    fault_hook_("lookup");
   }
-  if (!ok_ || passes.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.stage_misses;
-    return std::nullopt;
-  }
-  for (std::size_t k = passes.size(); k >= 1; --k) {
+  const std::size_t n = passes.size();
+  const std::size_t shortest = prefixes ? 1 : n;
+  std::optional<ResumeState> resume;
+  for (std::size_t k = n; k >= 1 && k >= shortest; --k) {
     const CacheKey key = make_stage_key(
         function_fingerprint, spec_prefix_digest(passes, k), context_digest);
-    auto entry = read_stage(key, /*count_stats=*/false);
+    auto entry = read_stage(key);
     if (!entry.has_value()) {
       continue;  // absent or already removed as corrupt; try shorter
     }
-    if (entry->passes_done != k) {
-      // The payload disagrees with the key it was stored under.
-      std::lock_guard<std::mutex> lock(mu_);
-      remove_entry_locked(key.text(), /*count_bad=*/true);
-      continue;
+    // A payload that disagrees with the key it was stored under, or a
+    // snapshot that does not reconstruct, is as corrupt as a bad digest.
+    if (entry->passes_done == k) {
+      resume = entry->to_resume(function_name);
     }
-    auto resume = entry->to_resume(function_name);
-    if (!resume.has_value()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      remove_entry_locked(key.text(), /*count_bad=*/true);
-      continue;
+    if (resume) {
+      break;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.stage_hits;
-    return resume;
+    remove_entry_locked(key.text(), /*count_bad=*/true);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.stage_misses;
-  return std::nullopt;
+  if (resume && resume->passes_done == n) {
+    ++stats_.hits;
+  } else {
+    ++stats_.misses;
+    if (prefixes) {
+      ++(resume ? stats_.stage_hits : stats_.stage_misses);
+    }
+  }
+  return resume;
 }
 
 // --- Dependency-graph records ------------------------------------------------
@@ -645,71 +420,20 @@ bool ResultCache::insert_graph(const CacheKey& key,
   if (fault_hook_) {
     fault_hook_("graph-insert");
   }
-  if (!ok_) {
-    return false;
-  }
-  ByteWriter w;
-  w.u64(kGraphMagic);
-  w.u32(kGraphFormatVersion);
-  w.u64(key.hi);
-  w.u64(key.lo);
-  w.str(payload);
-  // The payload is opaque to the cache layer, so the record-level
-  // checksum is the only thing standing between a bit flip and a wrong
-  // invalidation verdict.
-  w.u64(Hasher(kGraphPayloadSeed).mix(std::string_view(payload)).digest());
-  return store_bytes_locked_free(key, w.data(), EntryKind::kGraph);
+  return ok_ && write_record(key, kGraphEnvelope, payload,
+                             &ResultCacheStats::graph_stores);
 }
 
 ResultCache::GraphRecord ResultCache::lookup_graph(const CacheKey& key) {
   if (fault_hook_) {
     fault_hook_("graph-lookup");
   }
-  GraphRecord record;
-  if (!ok_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.graph_misses;
-    return record;
-  }
-  const auto bytes = read_file(entry_path(key));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.graph_misses;
-    return record;
-  }
-  ByteReader r(*bytes);
-  const bool header_ok = r.u64() == kGraphMagic &&
-                         r.u32() == kGraphFormatVersion &&
-                         r.u64() == key.hi && r.u64() == key.lo;
-  bool valid = false;
-  std::string payload;
-  if (header_ok) {
-    payload = r.str();
-    const std::uint64_t digest = r.u64();
-    valid = r.ok() && r.remaining() == 0 &&
-            Hasher(kGraphPayloadSeed)
-                    .mix(std::string_view(payload))
-                    .digest() == digest;
-  }
+  GraphRecord record = read_record(key, kGraphEnvelope);
   std::lock_guard<std::mutex> lock(mu_);
-  if (!valid) {
-    // A record exists but cannot be trusted: delete it (decrementing
-    // the tracked byte total with the index row) and tell the caller
-    // the history is gone, not merely absent.
-    remove_entry_locked(key.text(), /*count_bad=*/true);
-    ++stats_.graph_misses;
-    record.status = GraphReadStatus::kCorrupt;
-    return record;
-  }
-  ++stats_.graph_hits;
-  if (auto it = index_.find(key.text()); it != index_.end()) {
-    it->second.seq = next_seq_++;  // LRU touch (persisted on next insert)
-  }
-  record.status = GraphReadStatus::kHit;
-  record.payload = std::move(payload);
+  ++(record.status == GraphReadStatus::kHit ? stats_.graph_hits
+                                            : stats_.graph_misses);
   return record;
 }
-
 ResultCache::~ResultCache() { flush(); }
 
 void ResultCache::flush() {

@@ -1,67 +1,51 @@
-// ResultCache: a persistent, content-addressed store of finished
-// PipelineRunResults.
+// ResultCache: a persistent, content-addressed store of pipeline
+// results, frozen at pass boundaries.
 //
 // The thermal DFA is the expensive step of every compile (iterate-to-δ
-// over an RC grid per instruction); the AnalysisManager (PR 2) caches it
-// within a run and the CompilationDriver (PR 3) parallelizes across
-// functions, but nothing survived process exit — recompiling a module
-// redid every converged DFA from scratch. This cache closes that gap.
+// over an RC grid per instruction); the AnalysisManager caches it within
+// a run and the CompilationDriver parallelizes across functions, but
+// nothing survived process exit — recompiling a module redid every
+// converged DFA from scratch. This cache closes that gap.
 //
-// Keying. An entry is addressed by a 128-bit key derived from exactly
-// the inputs a pipeline run is a pure function of:
-//
-//     key = H( ir::fingerprint(input function)
-//            ⊕ canonical pass-spec string
-//            ⊕ context digest )
-//
-// where the context digest folds Floorplan/ThermalGrid/PowerModel/
-// TimingModel::config_digest(), the ThermalDfaConfig, and the policy
-// seed. Changing any one of these — and nothing else — invalidates
-// exactly the entries it should. The function *name* is deliberately
-// not part of the key: two identically-shaped functions share an entry,
-// and lookup() re-stamps the requested name onto the restored function.
-//
-// On disk. Entries live under a two-level hash layout,
-// `<dir>/<key[0:2]>/<key[2:]>.entry`, next to an `index.txt` used for
-// size accounting and LRU eviction (lookups address entry files
-// directly, so a stale or lost index can never hide an entry). Each
-// entry is a versioned binary record: magic, format version, key echo,
-// the output function via the canonical printer (re-parsed on load),
-// and a sidecar with pass statistics, analysis-cache counters, spill
-// counts and the thermal summary. Writes are crash-safe: temp file +
-// atomic rename, so readers see an old entry or a new one, never half
-// of one. A truncated, corrupted, or version-bumped entry is detected
-// (magic/version/key/fingerprint checks plus a totalizing reader),
-// counted in `bad_entries`, deleted, and reported as a miss — the
-// driver then recompiles cleanly.
-//
-// Stage entries. Incremental compilation (PR 6) adds a second entry
-// kind to the same directory, index, size accounting, and eviction
-// order: a *stage entry* freezes a pipeline at a pass boundary rather
-// than at the end. It is keyed by
+// One record kind holds compile results: a *stage record* freezes a
+// pipeline after its first k passes (PipelineSnapshot + prefix pass
+// stats + analysis counters + prefix wall clock). A finished compile is
+// simply the record at k = n, the boundary after the spec's last pass;
+// a record at k < n is a prefix an incremental compile resumes from.
+// Both are addressed by
 //
 //     stage key = H( ir::fingerprint(input function)
 //                  ⊕ spec_prefix_digest(passes, k)
 //                  ⊕ env digest )
 //
-// so a spec that *extends* a previously compiled one shares every
-// prefix key with it, and lookup_longest_stage() can restore the
-// longest cached prefix (k = n, n-1, ... 1) and let the driver run only
-// the suffix. The stage record layout is
+// where the env digest folds the context digest (Floorplan/ThermalGrid/
+// PowerModel/TimingModel::config_digest(), the ThermalDfaConfig, the
+// policy seed) with the driver toggles that alter recorded statistics.
+// Changing any one of these — and nothing else — invalidates exactly
+// the records it should. A spec that *extends* a previously compiled
+// one shares every prefix key with it, so lookup_longest_stage() can
+// restore the longest cached prefix (k = n, n-1, ... 1). The function
+// *name* is deliberately not part of the key: two identically-shaped
+// functions share a record, and a restore re-stamps the requested name.
 //
-//     [u64 stage magic "TADFASG1"][u32 kStageFormatVersion]
-//     [u64 key.hi][u64 key.lo]
+// On disk. Records live under a two-level hash layout,
+// `<dir>/<key[0:2]>/<key[2:]>.entry`, next to an `index.txt` used for
+// size accounting and LRU eviction (lookups address record files
+// directly, so a stale or lost index can never hide a record). Stage
+// records and dependency-graph records share one checksummed envelope:
+//
+//     [u64 magic][u32 format version][u64 key.hi][u64 key.lo]
 //     [str payload][u64 payload digest]
 //
-// where the payload is a serialized StageEntry (PipelineSnapshot +
-// prefix pass stats + analysis counters + prefix wall clock) and the
-// trailing digest is a seeded hash over the payload bytes — the
-// snapshot's function fingerprint cannot vouch for the *artifacts*
+// where the trailing digest is a seeded hash over the payload bytes —
+// the snapshot's function fingerprint cannot vouch for the *artifacts*
 // riding along (assignment, ranking, gating), so the whole payload is
-// checksummed. Any mismatch (magic, version, key echo, payload digest,
-// totalizing reader, fingerprint after re-parse) counts a bad entry,
-// deletes the file, and degrades to probing a shorter prefix — worst
-// case a full recompile, never a corrupt resume.
+// checksummed. Writes are crash-safe: temp file + atomic rename, so
+// readers see an old record or a new one, never half of one. Any
+// mismatch (magic, version, key echo, payload digest, totalizing
+// reader, fingerprint after re-parse) counts a bad entry, deletes the
+// file, and degrades to probing a shorter prefix — worst case a full
+// recompile, never a corrupt resume.
 //
 // Thread safety: all public methods are safe to call from concurrent
 // driver workers (and from concurrent processes sharing the directory;
@@ -95,50 +79,11 @@ struct CacheKey {
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
 };
 
-// ThermalSummary and summarize_dfa moved to pipeline/state.hpp in PR 6
-// (pass-boundary snapshots need them below the cache layer); they reach
-// this header through pass_manager.hpp.
-
-/// One serializable pipeline result: the output function as canonical
-/// text plus the sidecar fields the text format cannot carry.
-struct CachedResult {
-  std::string function_text;
-  /// The printer/parser round-trip loses trailing *unused* registers
-  /// (reg_count is re-derived as highest-mentioned + 1) and the stack
-  /// slot counter; both are restored from here so the reconstructed
-  /// function is fingerprint-identical to the one that was stored.
-  std::uint32_t reg_count = 0;
-  std::uint32_t stack_slots = 0;
-  std::uint32_t spilled_regs = 0;
-  /// ir::fingerprint of the stored output; verified after re-parsing.
-  std::uint64_t function_fingerprint = 0;
-  double total_seconds = 0;
-  std::vector<PassRunStats> pass_stats;
-  std::vector<AnalysisManager::AnalysisStats> analysis_stats;
-  std::optional<ThermalSummary> thermal;
-
-  /// Captures a finished (ok) run. The thermal summary is taken from
-  /// the run's registered ThermalDfaResult when one survived.
-  static CachedResult from_run(const PipelineRunResult& run);
-
-  /// Reconstructs a ready PipelineRunResult named `function_name`.
-  /// nullopt when the text does not parse or the reconstructed function
-  /// does not match `function_fingerprint` (a corrupt entry).
-  std::optional<PipelineRunResult> to_run(
-      const std::string& function_name) const;
-
-  void serialize(ByteWriter& w) const;
-  /// nullopt on any truncation/implausibility; the reader's failure
-  /// flag is totalizing, so no partially-filled record escapes.
-  static std::optional<CachedResult> deserialize(ByteReader& r);
-
-  friend bool operator==(const CachedResult&, const CachedResult&) = default;
-};
-
 /// One pass-boundary freeze: the snapshot plus the reporting sidecar a
 /// resumed run replays (prefix pass stats, analysis counters at the
 /// boundary, prefix wall clock). Stored/retrieved by insert_stage and
-/// lookup_longest_stage under spec-prefix keys.
+/// lookup_longest_stage under spec-prefix keys; the freeze after the
+/// last pass is a finished compile.
 struct StageEntry {
   /// Number of leading passes the snapshot accounts for (the resume
   /// index).
@@ -161,22 +106,24 @@ struct StageEntry {
 };
 
 struct ResultCacheStats {
+  /// One of hits/misses per probe: a hit restored a finished compile
+  /// (the record at k = n), a miss did not.
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  /// Finished-compile records (k = n) written.
   std::uint64_t stores = 0;
-  /// Entries rejected by the magic/version/key/fingerprint checks or
-  /// the totalizing reader (each also counts as a miss).
+  /// Records rejected by the magic/version/key/digest/fingerprint
+  /// checks or the totalizing reader; each is deleted on contact.
   std::uint64_t bad_entries = 0;
   std::uint64_t evictions = 0;
   std::uint64_t store_failures = 0;
   /// Lookups that threw (filesystem failure under the cache) and were
   /// degraded to misses by the caller (each also counts as a miss).
   std::uint64_t lookup_faults = 0;
-  /// Stage-entry counters (incremental compilation). A hit is one
-  /// successful longest-prefix restore; a miss is one probe that found
-  /// no usable prefix at any length. Corrupt stage entries fold into
-  /// bad_entries above; stage stores that failed fold into
-  /// store_failures; evicted stage entries fold into evictions.
+  /// Prefix counters (incremental compilation). Only probes that may
+  /// resume count these: a stage hit restored a k < n prefix, a stage
+  /// miss restored nothing at any length (a finished restore counts
+  /// neither). stage_stores counts k < n records written.
   std::uint64_t stage_hits = 0;
   std::uint64_t stage_misses = 0;
   std::uint64_t stage_stores = 0;
@@ -199,27 +146,21 @@ struct ResultCacheStats {
 
 class ResultCache {
  public:
-  /// Bumped whenever the entry encoding changes; entries written by any
-  /// other version are treated as misses and removed on contact.
-  static constexpr std::uint32_t kFormatVersion = 1;
-  /// Independently versioned stage-entry encoding (see file comment).
+  /// Versions the stage-record encoding (see file comment); records
+  /// written by any other version are treated as misses and removed on
+  /// contact.
   static constexpr std::uint32_t kStageFormatVersion = 1;
-  /// Independently versioned dependency-graph record encoding:
-  ///
-  ///     [u64 graph magic "TADFADG1"][u32 kGraphFormatVersion]
-  ///     [u64 key.hi][u64 key.lo]
-  ///     [str payload][u64 payload digest]
-  ///
-  /// The payload is an opaque serialized pipeline::DependencyGraph; the
-  /// cache checksums it exactly like a stage payload. Graph records
-  /// share the directory, index, size accounting, and LRU eviction with
-  /// the other two entry kinds.
+  /// Independently versioned dependency-graph record encoding, in the
+  /// same envelope as stage records (magic "TADFADG1"). The payload is
+  /// an opaque serialized pipeline::DependencyGraph; the cache checksums
+  /// it exactly like a stage payload. Graph records share the directory,
+  /// index, size accounting, and LRU eviction with stage records.
   static constexpr std::uint32_t kGraphFormatVersion = 1;
 
   struct Config {
     std::string dir;
     /// 0 = unbounded; otherwise inserts evict least-recently-used
-    /// entries (full-run and stage alike) until the total fits.
+    /// records (stage and graph alike) until the total fits.
     std::uint64_t max_bytes = 0;
     /// Stores between batched index.txt rewrites (0 behaves as 1 —
     /// every store flushes). The default keeps a cold run from being
@@ -250,70 +191,57 @@ class ResultCache {
   /// policy seed.
   static std::uint64_t context_digest(const PipelineContext& ctx);
 
-  /// Derives the content address (see file comment for the recipe).
-  static CacheKey make_key(std::uint64_t function_fingerprint,
-                           const std::string& canonical_spec,
-                           std::uint64_t context_digest);
-
-  /// Derives a stage-entry address from the input fingerprint, a
-  /// spec_prefix_digest, and the same environment digest full-run keys
-  /// use. Seeded differently from make_key, so the two entry kinds can
-  /// never collide on an address.
+  /// Derives a stage-record address from the input fingerprint, a
+  /// spec_prefix_digest, and the environment digest (see file comment).
   static CacheKey make_stage_key(std::uint64_t function_fingerprint,
                                  std::uint64_t spec_prefix_digest,
                                  std::uint64_t context_digest);
 
   /// Derives a dependency-graph record address from the module slot (a
   /// digest over the module's function *names*, stable across edits),
-  /// the canonical spec, and the environment digest. A third seed pair
-  /// keeps graph addresses disjoint from both other entry kinds.
+  /// the canonical spec, and the environment digest. A second seed pair
+  /// keeps graph addresses disjoint from stage addresses.
   static CacheKey make_graph_key(std::uint64_t module_names_digest,
                                  const std::string& canonical_spec,
                                  std::uint64_t context_digest);
 
-  /// Full reconstruction: entry -> ready PipelineRunResult named
-  /// `function_name`. nullopt on miss or bad entry.
-  std::optional<PipelineRunResult> lookup(const CacheKey& key,
-                                          const std::string& function_name);
+  /// Persists one pass-boundary freeze of `passes` compiling the input
+  /// `function_fingerprint`, under the stage key for the prefix of
+  /// `stage.passes_done` passes. The freeze at k = passes.size() is a
+  /// finished compile and counts a store; earlier boundaries count a
+  /// stage store. Overwriting an existing record is fine — identical
+  /// content modulo timing — and refreshes its LRU stamp. Returns false
+  /// when the cache is disabled, k is outside 1..n, or the write failed.
+  bool insert_stage(std::uint64_t function_fingerprint,
+                    const std::vector<PassSpec>& passes,
+                    std::uint64_t context_digest, const StageEntry& stage);
 
-  /// Raw entry access (tests, `tadfa --cache-verify`). Counts toward
-  /// hit/miss statistics exactly like lookup().
-  std::optional<CachedResult> lookup_entry(const CacheKey& key);
+  /// Raw access to the record after the first `k` of `passes` (tests,
+  /// diagnostics). Counts a hit or miss at k = n and a stage hit or
+  /// miss below; a corrupt record counts bad_entries and is removed.
+  std::optional<StageEntry> lookup_stage(std::uint64_t function_fingerprint,
+                                         const std::vector<PassSpec>& passes,
+                                         std::size_t k,
+                                         std::uint64_t context_digest);
 
-  /// Persists a finished run. Failed runs are never cached (their
-  /// error is cheap to reproduce and their state is partial). Returns
-  /// false when the run was not ok, the cache is disabled, or the
-  /// filesystem write failed. `thermal` backfills the summary when the
-  /// run's own ThermalDfaResult is already gone — a moved PipelineState
-  /// sheds computed analyses, and the driver moves every result into
-  /// its slot before snapshotting it (stats must be post-move), so it
-  /// captures the summary pre-move and hands it in here.
-  bool insert(const CacheKey& key, const PipelineRunResult& run,
-              std::optional<ThermalSummary> thermal = std::nullopt);
-
-  /// Persists one pass-boundary freeze under a stage key. Counts a
-  /// stage store (or a store failure). Overwriting an existing stage
-  /// entry is fine — identical content modulo timing — and refreshes
-  /// its LRU stamp.
-  bool insert_stage(const CacheKey& key, const StageEntry& stage);
-
-  /// Raw stage-entry access (tests, diagnostics). Counts one stage hit
-  /// or miss; a corrupt entry counts bad_entries and is removed.
-  std::optional<StageEntry> lookup_stage(const CacheKey& key);
-
-  /// Longest-prefix probe: tries k = passes.size() .. 1 stage keys and
-  /// returns the first prefix that restores into a usable ResumeState
-  /// named `function_name` (one stage hit). Corrupt entries at any k
-  /// are removed (bad_entries) and the probe continues with shorter
-  /// prefixes; finding none counts one stage miss.
+  /// The one probe per function: tries k = n (a finished compile), then
+  /// — when `prefixes` is set — k = n-1 .. 1, and returns the first
+  /// record that restores into a usable ResumeState named
+  /// `function_name`. A plain (non-incremental) cache passes false: it
+  /// never holds a k < n record. Corrupt records at any k are removed
+  /// (bad_entries) and the probe continues with shorter prefixes.
+  /// Counts one hit (k = n restored) or one miss; with `prefixes`, a
+  /// miss also counts a stage hit (k < n restored) or a stage miss.
   std::optional<ResumeState> lookup_longest_stage(
       std::uint64_t function_fingerprint, const std::vector<PassSpec>& passes,
-      std::uint64_t context_digest, const std::string& function_name);
+      std::uint64_t context_digest, const std::string& function_name,
+      bool prefixes);
 
-  /// How a graph-record lookup resolved. The edit-aware driver needs
-  /// the three-way split: an absent record means "first compile of this
-  /// module slot" (diff against an empty graph), while a corrupt one
-  /// means the history is untrustworthy and the whole module recompiles.
+  /// How a record read resolved. The edit-aware driver needs the
+  /// three-way split: an absent graph record means "first compile of
+  /// this module slot" (diff against an empty graph), while a corrupt
+  /// one means the history is untrustworthy and the whole module
+  /// recompiles.
   enum class GraphReadStatus { kHit, kMiss, kCorrupt };
   struct GraphRecord {
     GraphReadStatus status = GraphReadStatus::kMiss;
@@ -343,12 +271,11 @@ class ResultCache {
 
   /// Test-only fault injection: when set, the hook runs at the top of
   /// every lookup and insert with the operation name ("lookup" /
-  /// "insert" / "stage-lookup" / "stage-insert" / "graph-lookup" /
-  /// "graph-insert") and may throw to
-  /// simulate a filesystem failure (cache
-  /// directory deleted mid-run, disk full, permission flip). Set it
-  /// before handing the cache to concurrent workers; it is read without
-  /// synchronization while compiles run.
+  /// "insert" for stage records, "graph-lookup" / "graph-insert" for
+  /// graph records) and may throw to simulate a filesystem failure
+  /// (cache directory deleted mid-run, disk full, permission flip). Set
+  /// it before handing the cache to concurrent workers; it is read
+  /// without synchronization while compiles run.
   void set_fault_hook(std::function<void(std::string_view op)> hook) {
     fault_hook_ = std::move(hook);
   }
@@ -376,6 +303,20 @@ class ResultCache {
     /// best-effort through the index file).
     std::uint64_t seq = 0;
   };
+  /// What tells one record kind's envelope from another's. Magics are
+  /// written little-endian, so a file starts with the spelling reversed.
+  struct Envelope {
+    std::uint64_t magic;
+    std::uint32_t version;
+    /// Seed of the payload checksum stream.
+    std::uint64_t payload_seed;
+  };
+  static constexpr Envelope kStageEnvelope{
+      0x5441444641534731ull /* "TADFASG1" */, kStageFormatVersion,
+      0x7374672d73756d31ull /* "stg-sum1" */};
+  static constexpr Envelope kGraphEnvelope{
+      0x5441444641444731ull /* "TADFADG1" */, kGraphFormatVersion,
+      0x6465702d73756d31ull /* "dep-sum1" */};
 
   std::filesystem::path entry_path(const CacheKey& key) const;
   /// Reads `index.txt` and reconciles it against the entry files that
@@ -387,19 +328,19 @@ class ResultCache {
   /// removal to corruption rather than eviction.
   void remove_entry_locked(const std::string& key_text, bool count_bad);
   void evict_until_fits_locked();
-  std::optional<CachedResult> read_entry(const CacheKey& key);
-  /// Reads + fully validates one stage entry. `count_stats` toggles the
-  /// per-probe hit/miss bookkeeping (the longest-prefix probe counts
-  /// once for the whole scan, not per k); corruption always counts
-  /// bad_entries and removes the file.
-  std::optional<StageEntry> read_stage(const CacheKey& key, bool count_stats);
-  /// Which kind of record a store should be attributed to.
-  enum class EntryKind { kFull, kStage, kGraph };
-  /// Shared tail of insert/insert_stage/insert_graph: writes `bytes`
-  /// under `key`'s entry path and books the index row, eviction, and
-  /// batched flush.
-  bool store_bytes_locked_free(const CacheKey& key, const std::string& bytes,
-                               EntryKind kind);
+  /// The shared write path: wraps `payload` in `kind`'s envelope, writes
+  /// it under `key`, books `counter` (or a store failure), the index
+  /// row, eviction, and the batched index flush.
+  bool write_record(const CacheKey& key, const Envelope& kind,
+                    std::string_view payload,
+                    std::uint64_t ResultCacheStats::*counter);
+  /// The shared validated read: magic, version, key echo, and payload
+  /// digest. A record that fails any check is deleted and counted bad
+  /// (kCorrupt); a hit refreshes the LRU stamp. Counts no hit or miss.
+  GraphRecord read_record(const CacheKey& key, const Envelope& kind);
+  /// read_record plus StageEntry decoding; nullopt when absent or
+  /// corrupt (a payload that does not decode is deleted and counted).
+  std::optional<StageEntry> read_stage(const CacheKey& key);
 
   std::filesystem::path dir_;
   std::uint64_t max_bytes_ = 0;

@@ -5,68 +5,6 @@
 
 namespace tadfa::pipeline {
 
-// --- ThermalSummary ----------------------------------------------------------
-
-ThermalSummary summarize_dfa(const core::ThermalDfaResult& dfa) {
-  ThermalSummary summary;
-  summary.converged = dfa.converged;
-  summary.iterations = dfa.iterations;
-  summary.final_delta_k = dfa.final_delta_k;
-  summary.peak_anywhere_k = dfa.peak_anywhere_k;
-  summary.exit_stats = dfa.exit_stats;
-  summary.exit_reg_temps_k = dfa.exit_reg_temps_k;
-  return summary;
-}
-
-core::ThermalDfaResult ThermalSummary::to_result() const {
-  core::ThermalDfaResult dfa;
-  dfa.converged = converged;
-  dfa.iterations = iterations;
-  dfa.final_delta_k = final_delta_k;
-  dfa.peak_anywhere_k = peak_anywhere_k;
-  dfa.exit_stats = exit_stats;
-  dfa.exit_reg_temps_k = exit_reg_temps_k;
-  return dfa;
-}
-
-void ThermalSummary::serialize(ByteWriter& w) const {
-  w.boolean(converged);
-  w.u32(static_cast<std::uint32_t>(iterations));
-  w.f64(final_delta_k);
-  w.f64(peak_anywhere_k);
-  w.f64(exit_stats.peak_k);
-  w.f64(exit_stats.min_k);
-  w.f64(exit_stats.mean_k);
-  w.f64(exit_stats.stddev_k);
-  w.f64(exit_stats.range_k);
-  w.f64(exit_stats.max_gradient_k);
-  w.f64(exit_stats.mean_gradient_k);
-  w.u64(exit_reg_temps_k.size());
-  for (double temp : exit_reg_temps_k) {
-    w.f64(temp);
-  }
-}
-
-ThermalSummary ThermalSummary::deserialize(ByteReader& r) {
-  ThermalSummary t;
-  t.converged = r.boolean();
-  t.iterations = static_cast<int>(r.u32());
-  t.final_delta_k = r.f64();
-  t.peak_anywhere_k = r.f64();
-  t.exit_stats.peak_k = r.f64();
-  t.exit_stats.min_k = r.f64();
-  t.exit_stats.mean_k = r.f64();
-  t.exit_stats.stddev_k = r.f64();
-  t.exit_stats.range_k = r.f64();
-  t.exit_stats.max_gradient_k = r.f64();
-  t.exit_stats.mean_gradient_k = r.f64();
-  const std::uint64_t num_temps = r.u64();
-  for (std::uint64_t i = 0; i < num_temps && r.ok(); ++i) {
-    t.exit_reg_temps_k.push_back(r.f64());
-  }
-  return t;
-}
-
 void serialize_dfa(ByteWriter& w, const core::ThermalDfaResult& dfa) {
   w.boolean(dfa.converged);
   w.u32(static_cast<std::uint32_t>(dfa.iterations));

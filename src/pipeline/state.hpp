@@ -25,7 +25,6 @@
 #include "pipeline/analysis_manager.hpp"
 #include "pipeline/context.hpp"
 #include "support/serialize.hpp"
-#include "thermal/map_stats.hpp"
 
 namespace tadfa::pipeline {
 
@@ -97,39 +96,11 @@ struct PipelineState {
   }
 };
 
-/// The thermal-DFA outcome worth keeping across processes: convergence
-/// and the exit map, not the per-instruction states (those are bulky
-/// and refer to instruction positions no later consumer needs). On a
-/// warm hit this is restored as a summary-only ThermalDfaResult, so
-/// state.dfa() answers warm exactly where it answered cold — with
-/// empty per_instruction/delta_history vectors.
-struct ThermalSummary {
-  bool converged = false;
-  int iterations = 0;
-  double final_delta_k = 0;
-  double peak_anywhere_k = 0;
-  thermal::MapStats exit_stats;
-  std::vector<double> exit_reg_temps_k;
-
-  /// Re-materializes the summary as a ThermalDfaResult (summary form:
-  /// per-instruction states and δ history stay empty).
-  core::ThermalDfaResult to_result() const;
-
-  void serialize(ByteWriter& w) const;
-  static ThermalSummary deserialize(ByteReader& r);
-
-  friend bool operator==(const ThermalSummary&,
-                         const ThermalSummary&) = default;
-};
-
-/// The summary of a full DFA result (what the cache keeps of it).
-ThermalSummary summarize_dfa(const core::ThermalDfaResult& dfa);
-
-/// Full-fidelity DFA serialization for stage snapshots. Unlike the
-/// end-of-pipeline ThermalSummary, a mid-pipeline freeze must keep the
-/// per-instruction states and δ history: passes downstream of the
-/// boundary (nops, most directly) read them, and a resumed run must see
-/// exactly what the cold run saw.
+/// Full-fidelity DFA serialization for stage snapshots. Every freeze —
+/// the last boundary included — keeps the per-instruction states and δ
+/// history: passes downstream of the boundary (nops, most directly)
+/// read them, a spec extension resumes from the last boundary, and a
+/// resumed run must see exactly what the cold run saw.
 void serialize_dfa(ByteWriter& w, const core::ThermalDfaResult& dfa);
 core::ThermalDfaResult deserialize_dfa(ByteReader& r);
 

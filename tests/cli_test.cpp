@@ -92,9 +92,21 @@ void expect_usage_exit(const std::string& args) {
       << args << ": " << r.stderr_text;
 }
 
+// Integer flags whose value parses but does not fit the field it feeds
+// (int iterations, unsigned jobs and stage interval). A narrowing cast
+// once turned 2^31 into a negative iteration cap (SIGABRT in the DFA)
+// and 2^32 into "snapshots off" or "hardware concurrency".
+constexpr const char* kNarrowingFlags[] = {
+    "--max-iters=2147483648", "--max-iters=4294967296",
+    "--max-iters=4294967297", "--stage-every=4294967296",
+    "--jobs=4294967296"};
+
 TEST(CliTest, BadThermalFlagsAreUsageErrors) {
   for (const char* flag : {"--delta=0", "--delta=-1", "--delta=nan",
                            "--subdivision=0", "--subdivision=6000"}) {
+    expect_usage_exit(std::string(flag) + " crc32");
+  }
+  for (const char* flag : kNarrowingFlags) {
     expect_usage_exit(std::string(flag) + " crc32");
   }
 }
@@ -146,6 +158,11 @@ TEST(CliTest, ServeRejectsBadThermalFlagsBeforeBinding) {
         "--machine=no-such-machine --subdivision=5000"}) {
     expect_usage_exit("serve --socket=" + socket.string() + " " + flags);
     EXPECT_FALSE(std::filesystem::exists(socket)) << flags;
+  }
+  // Narrowing values must fail here, not abort on the first request.
+  for (const char* flag : kNarrowingFlags) {
+    expect_usage_exit("serve --socket=" + socket.string() + " " + flag);
+    EXPECT_FALSE(std::filesystem::exists(socket)) << flag;
   }
 }
 

@@ -247,6 +247,9 @@ TEST_F(DriverTest, CacheDirectoryRemovedMidCompileStillCompletes) {
     }
   });
   const auto warm = driver.compile(module, kSpec);
+  // The hook must have fired: an op name it no longer matches would
+  // quietly turn this into a plain warm run.
+  EXPECT_TRUE(removed.load());
   ASSERT_TRUE(warm.ok) << warm.error;
   ASSERT_EQ(warm.functions.size(), module.size());
   for (std::size_t i = 0; i < module.size(); ++i) {

@@ -136,24 +136,27 @@ TEST_F(IncrementalTest, StagePolicyWantsTheRightBoundaries) {
     EXPECT_FALSE(policy.wants(i, passes));
   }
   policy.enabled = true;
-  // after_expensive: alloc (2), thermal-dfa (3), alloc (4); at_end: 6.
+  // Expensive passes: alloc (2), thermal-dfa (3), alloc (4). The last
+  // boundary (6) is not the policy's: the driver freezes it whenever a
+  // cache is attached, because that snapshot is the finished compile.
   EXPECT_FALSE(policy.wants(0, passes));  // cse
   EXPECT_FALSE(policy.wants(1, passes));  // dce
   EXPECT_TRUE(policy.wants(2, passes));   // alloc=linear
   EXPECT_TRUE(policy.wants(3, passes));   // thermal-dfa
   EXPECT_TRUE(policy.wants(4, passes));   // alloc=coloring
   EXPECT_FALSE(policy.wants(5, passes));  // schedule
-  EXPECT_TRUE(policy.wants(6, passes));   // nops (at_end)
+  EXPECT_FALSE(policy.wants(6, passes));  // nops (the driver's boundary)
   EXPECT_FALSE(policy.wants(7, passes));  // out of range
 
-  policy.after_expensive = false;
-  policy.at_end = false;
+  // every_k adds boundaries on top of the expensive passes.
   policy.every_k = 3;
   for (std::size_t i = 0; i < passes.size(); ++i) {
-    EXPECT_EQ(policy.wants(i, passes), (i + 1) % 3 == 0) << i;
+    EXPECT_EQ(policy.wants(i, passes),
+              (i + 1) % 3 == 0 || (i >= 2 && i <= 4))
+        << i;
   }
 
-  // The digest separates placements: entries frozen under one policy
+  // The digest separates placements: records frozen under one policy
   // must not resume a run under another.
   pipeline::StagePolicy other;
   other.enabled = true;
@@ -199,23 +202,33 @@ TEST_F(IncrementalTest, SpecExtensionResumesEveryFunctionAtAnyJobCount) {
   }
 }
 
-TEST_F(IncrementalTest, ResumedRunWarmsTheFullEntry) {
+TEST_F(IncrementalTest, ResumedRunWritesTheFinishedRecord) {
   const auto module = test_module(3);
   pipeline::ResultCache cache(dir.string());
   ASSERT_TRUE(cache.ok()) << cache.error();
   auto driver = staged_driver(&cache);
 
+  // kPrefixSpec freezes alloc (3), thermal-dfa (4) and its last
+  // boundary, alloc=coloring (5): three records per function, the last
+  // of them the finished compile.
   ASSERT_TRUE(driver.compile(module, kPrefixSpec).ok);
+  EXPECT_EQ(entry_files().size(), 3 * module.size());
+  EXPECT_EQ(cache.stats().stores, module.size());
+  EXPECT_EQ(cache.stats().stage_stores, 2 * module.size());
+
   const auto resumed = driver.compile(module, kExtendedSpec);
   ASSERT_TRUE(resumed.ok) << resumed.error;
   EXPECT_EQ(resumed.prefix_hits(), module.size());
+  EXPECT_EQ(cache.stats().stage_hits, module.size());
 
-  // Third run of the extended spec: the resume also stored the full-run
-  // entry, so this one restores without running a single pass.
+  // Third run of the extended spec: the resumed run's last boundary
+  // wrote the finished record, so this one restores without running a
+  // single pass.
   const auto warm = driver.compile(module, kExtendedSpec);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_EQ(warm.cache_hits(), module.size());
   EXPECT_EQ(warm.prefix_hits(), 0u);
+  EXPECT_EQ(cache.stats().stage_hits, module.size());  // k = n: a hit
   expect_identical(resumed, warm);
 }
 
@@ -228,7 +241,7 @@ TEST_F(IncrementalTest, TailChangeResumesFromTheDeepestSharedBoundary) {
   ASSERT_TRUE(
       driver.compile(module, "cse,alloc=linear:first_free,thermal-dfa,schedule")
           .ok);
-  // Same prefix through thermal-dfa (an after_expensive boundary), a
+  // Same prefix through thermal-dfa (an expensive-pass boundary), a
   // different tail: the alloc and DFA work is reused, only the new tail
   // runs.
   const auto retailed =
@@ -236,6 +249,38 @@ TEST_F(IncrementalTest, TailChangeResumesFromTheDeepestSharedBoundary) {
   ASSERT_TRUE(retailed.ok) << retailed.error;
   EXPECT_EQ(retailed.prefix_hits(), module.size());
   EXPECT_EQ(retailed.passes_skipped(), module.size() * 3);
+}
+
+TEST_F(IncrementalTest, LastBoundaryKeepsTheDfaForAnExtensionThatReadsIt) {
+  // bank-gating is not an expensive pass, so boundary 3 exists only
+  // because it ends the spec — and nops, which the extension appends,
+  // reads the DFA's per-instruction states. The finished record must
+  // therefore keep the DFA at full fidelity for the resume to succeed.
+  const char* base = "alloc=linear:first_free,thermal-dfa,bank-gating";
+  const char* extended = "alloc=linear:first_free,thermal-dfa,bank-gating,nops";
+  for (const unsigned jobs : {1u, 8u}) {
+    SCOPED_TRACE(jobs);
+    fs::remove_all(dir);
+    const fs::path cold_dir = dir.string() + "-cold";
+    fs::remove_all(cold_dir);
+    const auto module = test_module(8);
+
+    pipeline::ResultCache cache(dir.string());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    auto driver = staged_driver(&cache, jobs);
+    ASSERT_TRUE(driver.compile(module, base).ok);
+    const auto resumed = driver.compile(module, extended);
+    ASSERT_TRUE(resumed.ok) << resumed.error;
+    EXPECT_EQ(resumed.prefix_hits(), module.size());
+    EXPECT_EQ(resumed.passes_skipped(), 3 * module.size());
+
+    pipeline::ResultCache cold_cache(cold_dir.string());
+    ASSERT_TRUE(cold_cache.ok()) << cold_cache.error();
+    const auto cold =
+        staged_driver(&cold_cache, jobs).compile(module, extended);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    expect_identical(resumed, cold);
+  }
 }
 
 TEST_F(IncrementalTest, CorruptStageEntriesDegradeToAFullRecompile) {
@@ -247,9 +292,8 @@ TEST_F(IncrementalTest, CorruptStageEntriesDegradeToAFullRecompile) {
     ASSERT_TRUE(driver.compile(module, kPrefixSpec).ok);
   }
 
-  // Flip a byte near the end of every entry (stage payloads and full
-  // entries alike) — the payload digest / totalizing readers must catch
-  // all of it.
+  // Flip a byte near the end of every record (prefixes and finished
+  // compiles alike) — the payload digest must catch all of it.
   for (const fs::path& file : entry_files()) {
     std::string bytes;
     {
@@ -312,7 +356,7 @@ TEST_F(IncrementalTest, StageFaultsDegradeToACompileNeverAFailure) {
   // disk full, ...): the compile must neither fail nor resume, and the
   // output must match a clean cold run.
   cache.set_fault_hook([](std::string_view op) {
-    if (op == "stage-lookup" || op == "stage-insert") {
+    if (op == "lookup" || op == "insert") {
       throw std::runtime_error("injected stage fault");
     }
   });

@@ -1,11 +1,13 @@
 // Tests for pipeline::ResultCache — the persistent, content-addressed
-// store of finished pipeline results. Load-bearing properties: an entry
-// round-trips byte-for-byte (function, stats, thermal summary
-// included); the key is sensitive to exactly the inputs a run is a pure
-// function of (spec, input fingerprint, and each model's config digest
-// independently); corruption of any kind degrades to a clean recompile,
-// never to wrong output; and a warm CompilationDriver run over a mixed
-// module is byte-identical to the cold run at any job count.
+// store of pipeline results frozen at pass boundaries, where a finished
+// compile is the snapshot after the last pass. Load-bearing properties:
+// a record round-trips byte-for-byte (function, stats, assignment and
+// full DFA included); the key is sensitive to exactly the inputs a run
+// is a pure function of (spec prefix, input fingerprint, and each
+// model's config digest independently); corruption of any kind degrades
+// to a clean recompile, never to wrong output; and a warm
+// CompilationDriver run over a mixed module is byte-identical to the
+// cold run at any job count.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -87,7 +89,8 @@ struct ResultCacheTest : ::testing::Test {
 };
 
 /// Deterministic fields of two module results must match exactly
-/// (printed IR, fingerprints, spills, merged pass + analysis stats).
+/// (printed IR, fingerprints, spills, the vreg -> phys assignment, merged
+/// pass + analysis stats).
 void expect_identical(const pipeline::ModulePipelineResult& a,
                       const pipeline::ModulePipelineResult& b) {
   ASSERT_EQ(a.functions.size(), b.functions.size());
@@ -101,6 +104,16 @@ void expect_identical(const pipeline::ModulePipelineResult& a,
               b.functions[i].run.state.func.reg_count());
     EXPECT_EQ(a.functions[i].run.state.spilled_regs,
               b.functions[i].run.state.spilled_regs);
+    // Both null, or the same map: a warm hit must hand back the
+    // register assignment the cold compile produced.
+    const machine::RegisterAssignment* a_map =
+        a.functions[i].run.state.assignment();
+    const machine::RegisterAssignment* b_map =
+        b.functions[i].run.state.assignment();
+    EXPECT_EQ(a_map == nullptr, b_map == nullptr) << a.functions[i].name;
+    if (a_map != nullptr && b_map != nullptr) {
+      EXPECT_TRUE(*a_map == *b_map) << a.functions[i].name;
+    }
   }
   const auto a_pass = a.merged_pass_stats();
   const auto b_pass = b.merged_pass_stats();
@@ -118,67 +131,6 @@ void expect_identical(const pipeline::ModulePipelineResult& a,
   for (std::size_t i = 0; i < a_an.size(); ++i) {
     EXPECT_EQ(a_an[i], b_an[i]) << a_an[i].name;
   }
-}
-
-TEST_F(ResultCacheTest, CachedResultRoundTripsByteForByte) {
-  pipeline::PassManager manager(context());
-  // Stop right after the DFA so the thermal summary is registered.
-  const auto run = manager.run(workload::make_kernel("crc32")->func,
-                               "alloc=linear:first_free,thermal-dfa");
-  ASSERT_TRUE(run.ok) << run.error;
-  ASSERT_NE(run.state.dfa(), nullptr);
-
-  const auto entry = pipeline::CachedResult::from_run(run);
-  ASSERT_TRUE(entry.thermal.has_value());
-  EXPECT_FALSE(entry.analysis_stats.empty());
-  EXPECT_EQ(entry.pass_stats, run.pass_stats);
-
-  ByteWriter w;
-  entry.serialize(w);
-  ByteReader r(w.data());
-  const auto decoded = pipeline::CachedResult::deserialize(r);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(*decoded, entry);
-
-  // Serializing the decoded copy reproduces the exact bytes.
-  ByteWriter w2;
-  decoded->serialize(w2);
-  EXPECT_EQ(w.data(), w2.data());
-
-  // And the decoded entry reconstructs a run whose function is
-  // fingerprint-identical to the original, stats included.
-  const auto restored = decoded->to_run(run.state.func.name());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(ir::to_string(restored->state.func),
-            ir::to_string(run.state.func));
-  EXPECT_EQ(ir::fingerprint(restored->state.func),
-            ir::fingerprint(run.state.func));
-  EXPECT_EQ(restored->state.func.reg_count(), run.state.func.reg_count());
-  EXPECT_EQ(restored->state.func.stack_slot_count(),
-            run.state.func.stack_slot_count());
-  EXPECT_EQ(restored->pass_stats, run.pass_stats);
-  EXPECT_EQ(restored->state.analyses.stats(), run.state.analyses.stats());
-}
-
-TEST_F(ResultCacheTest, LookupRestampsTheRequestedName) {
-  pipeline::PassManager manager(context());
-  const auto run =
-      manager.run(workload::make_kernel("fir")->func, "dce");
-  ASSERT_TRUE(run.ok) << run.error;
-
-  pipeline::ResultCache cache(dir.string());
-  ASSERT_TRUE(cache.ok()) << cache.error();
-  const auto key = pipeline::ResultCache::make_key(1, "dce", 2);
-  ASSERT_TRUE(cache.insert(key, run));
-
-  // The key ignores names on purpose: an identically-shaped function
-  // under another name shares the entry and gets its own name back.
-  const auto hit = cache.lookup(key, "fir_clone_7");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->state.func.name(), "fir_clone_7");
-  EXPECT_EQ(ir::fingerprint(hit->state.func),
-            ir::fingerprint(run.state.func));
 }
 
 TEST_F(ResultCacheTest, WarmModuleRunIsByteIdenticalAtAnyJobCount) {
@@ -208,11 +160,11 @@ TEST_F(ResultCacheTest, WarmModuleRunIsByteIdenticalAtAnyJobCount) {
   expect_identical(cold, warm8);
 }
 
-TEST_F(ResultCacheTest, WarmHitsRematerializeTheThermalSummary) {
-  // A spec whose every pass keeps the DFA result alive to the end, so
-  // the cold run records a thermal summary for each function — warm
-  // hits must answer state.dfa() with the converged exit data (summary
-  // form: per-instruction states are not kept across processes).
+TEST_F(ResultCacheTest, WarmHitsRestoreTheFullDfaResult) {
+  // A spec ending at thermal-dfa keeps the DFA result alive to the end.
+  // The finished record freezes it at full fidelity, so a warm hit's
+  // state.dfa() equals the cold one — per-instruction states and δ
+  // history included, not a summary.
   const char* spec = "alloc=linear:first_free,thermal-dfa";
   const ir::Module module = test_module(6, /*seed=*/17);
 
@@ -220,17 +172,22 @@ TEST_F(ResultCacheTest, WarmHitsRematerializeTheThermalSummary) {
   pipeline::ResultCache cache(dir.string());
   ASSERT_TRUE(cache.ok()) << cache.error();
   driver.set_result_cache(&cache);
-  ASSERT_TRUE(driver.compile(module, spec).ok);
+  const auto cold = driver.compile(module, spec);
+  ASSERT_TRUE(cold.ok) << cold.error;
 
   const auto warm = driver.compile(module, spec);
   ASSERT_TRUE(warm.ok) << warm.error;
-  for (const auto& f : warm.functions) {
+  for (std::size_t i = 0; i < module.size(); ++i) {
+    const auto& f = warm.functions[i];
     ASSERT_TRUE(f.from_cache) << f.name;
+    const core::ThermalDfaResult* cold_dfa = cold.functions[i].run.state.dfa();
     const core::ThermalDfaResult* dfa = f.run.state.dfa();
+    ASSERT_NE(cold_dfa, nullptr) << f.name;
     ASSERT_NE(dfa, nullptr) << f.name;
-    EXPECT_FALSE(dfa->exit_reg_temps_k.empty()) << f.name;
-    EXPECT_GT(dfa->exit_stats.peak_k, 0.0) << f.name;
+    EXPECT_FALSE(dfa->per_instruction.empty()) << f.name;
+    EXPECT_TRUE(*dfa == *cold_dfa) << f.name;
   }
+  expect_identical(cold, warm);
 }
 
 TEST_F(ResultCacheTest, ContextDigestRespondsToEachModelIndependently) {
@@ -276,11 +233,22 @@ TEST_F(ResultCacheTest, ContextDigestRespondsToEachModelIndependently) {
 }
 
 TEST_F(ResultCacheTest, KeyFlipsOnFingerprintSpecAndContext) {
-  const auto base = pipeline::ResultCache::make_key(10, "dce", 20);
-  EXPECT_EQ(pipeline::ResultCache::make_key(10, "dce", 20), base);
-  EXPECT_NE(pipeline::ResultCache::make_key(11, "dce", 20), base);
-  EXPECT_NE(pipeline::ResultCache::make_key(10, "cse", 20), base);
-  EXPECT_NE(pipeline::ResultCache::make_key(10, "dce", 21), base);
+  const auto dce = *pipeline::parse_pipeline_spec("dce");
+  const auto cse = *pipeline::parse_pipeline_spec("cse");
+  const auto dce_cse = *pipeline::parse_pipeline_spec("dce,cse");
+  auto key = [](std::uint64_t fp, const std::vector<pipeline::PassSpec>& p,
+                std::size_t k, std::uint64_t ctx) {
+    return pipeline::ResultCache::make_stage_key(
+        fp, pipeline::spec_prefix_digest(p, k), ctx);
+  };
+  const auto base = key(10, dce, 1, 20);
+  EXPECT_EQ(key(10, dce, 1, 20), base);
+  EXPECT_NE(key(11, dce, 1, 20), base);
+  EXPECT_NE(key(10, cse, 1, 20), base);
+  EXPECT_NE(key(10, dce, 1, 21), base);
+  // A finished "dce" is the first prefix of "dce,cse": the same record.
+  EXPECT_EQ(key(10, dce_cse, 1, 20), base);
+  EXPECT_NE(key(10, dce_cse, 2, 20), base);
   EXPECT_EQ(base.text().size(), 32u);
 }
 
@@ -439,11 +407,12 @@ TEST_F(ResultCacheTest, DisabledCacheDirectoryDegradesGracefully) {
   fs::remove(blocker);
 }
 
-/// Runs `passes` over the crc32 kernel with a snapshot hook at pass
-/// boundary `boundary`, returning the captured StageEntry.
+/// Runs `passes` over a kernel (crc32 by default) with a snapshot hook
+/// at pass boundary `boundary`, returning the captured StageEntry.
 pipeline::StageEntry capture_stage(const pipeline::PassManager& manager,
                                    const std::vector<pipeline::PassSpec>& passes,
-                                   std::size_t boundary) {
+                                   std::size_t boundary,
+                                   const char* kernel = "crc32") {
   pipeline::StageEntry captured;
   bool fired = false;
   pipeline::SnapshotHooks hooks;
@@ -458,10 +427,82 @@ pipeline::StageEntry capture_stage(const pipeline::PassManager& manager,
     fired = true;
   };
   const auto run =
-      manager.run(workload::make_kernel("crc32")->func, passes, hooks);
+      manager.run(workload::make_kernel(kernel)->func, passes, hooks);
   EXPECT_TRUE(run.ok) << run.error;
   EXPECT_TRUE(fired);
   return captured;
+}
+
+TEST_F(ResultCacheTest, FinishedStageEntryRoundTripsByteForByte) {
+  pipeline::PassManager manager(context());
+  // Stop right after the DFA, so the finished record carries it.
+  const auto passes =
+      *pipeline::parse_pipeline_spec("alloc=linear:first_free,thermal-dfa");
+  const auto entry = capture_stage(manager, passes, passes.size() - 1);
+  ASSERT_EQ(entry.passes_done, passes.size());
+  ASSERT_TRUE(entry.snapshot.thermal.has_value());
+  ASSERT_TRUE(entry.snapshot.assignment.has_value());
+  EXPECT_FALSE(entry.analysis_stats.empty());
+  const auto run =
+      manager.run(workload::make_kernel("crc32")->func, passes);
+  ASSERT_TRUE(run.ok) << run.error;
+  EXPECT_EQ(entry.pass_stats.size(), run.pass_stats.size());
+
+  ByteWriter w;
+  entry.serialize(w);
+  ByteReader r(w.data());
+  const auto decoded = pipeline::StageEntry::deserialize(r);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(*decoded, entry);
+
+  // Serializing the decoded copy reproduces the exact bytes.
+  ByteWriter w2;
+  decoded->serialize(w2);
+  EXPECT_EQ(w.data(), w2.data());
+
+  // And the decoded entry reconstructs a state whose function is
+  // fingerprint-identical to the original, stats and artifacts included.
+  const auto restored = decoded->to_resume(run.state.func.name());
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->passes_done, passes.size());
+  EXPECT_EQ(ir::to_string(restored->state.func),
+            ir::to_string(run.state.func));
+  EXPECT_EQ(ir::fingerprint(restored->state.func),
+            ir::fingerprint(run.state.func));
+  EXPECT_EQ(restored->state.func.reg_count(), run.state.func.reg_count());
+  EXPECT_EQ(restored->state.func.stack_slot_count(),
+            run.state.func.stack_slot_count());
+  EXPECT_EQ(restored->pass_stats, entry.pass_stats);
+  EXPECT_EQ(restored->state.analyses.stats(), entry.analysis_stats);
+  ASSERT_NE(restored->state.assignment(), nullptr);
+  EXPECT_TRUE(*restored->state.assignment() == *run.state.assignment());
+  // The DFA is compared with the frozen one: a second run's result
+  // differs in its wall-clock field.
+  ASSERT_NE(restored->state.dfa(), nullptr);
+  EXPECT_TRUE(*restored->state.dfa() == *entry.snapshot.thermal);
+}
+
+TEST_F(ResultCacheTest, FinishedRecordRestampsTheRequestedName) {
+  pipeline::PassManager manager(context());
+  const auto passes = *pipeline::parse_pipeline_spec("dce");
+  const auto entry = capture_stage(manager, passes, 0, "fir");
+
+  pipeline::ResultCache cache(dir.string());
+  ASSERT_TRUE(cache.ok()) << cache.error();
+  ASSERT_TRUE(cache.insert_stage(1, passes, 2, entry));
+  EXPECT_EQ(cache.stats().stores, 1u);  // k = n: a finished compile
+
+  // The key ignores names on purpose: an identically-shaped function
+  // under another name shares the record and gets its own name back.
+  const auto hit = cache.lookup_longest_stage(1, passes, 2, "fir_clone_7",
+                                              /*prefixes=*/false);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->passes_done, passes.size());
+  EXPECT_EQ(hit->state.func.name(), "fir_clone_7");
+  EXPECT_EQ(entry.snapshot.function_fingerprint,
+            ir::fingerprint(hit->state.func));
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST_F(ResultCacheTest, StageEntryRoundTripsThroughTheCache) {
@@ -476,85 +517,79 @@ TEST_F(ResultCacheTest, StageEntryRoundTripsThroughTheCache) {
 
   const std::uint64_t input_fp =
       ir::fingerprint(workload::make_kernel("crc32")->func);
-  const auto key = pipeline::ResultCache::make_stage_key(
-      input_fp, pipeline::spec_prefix_digest(passes, 4),
-      pipeline::ResultCache::context_digest(context()));
+  const std::uint64_t ctx = pipeline::ResultCache::context_digest(context());
 
   pipeline::ResultCache cache(dir.string());
   ASSERT_TRUE(cache.ok()) << cache.error();
-  ASSERT_TRUE(cache.insert_stage(key, stage));
-  const auto restored = cache.lookup_stage(key);
+  ASSERT_TRUE(cache.insert_stage(input_fp, passes, ctx, stage));
+  const auto restored = cache.lookup_stage(input_fp, passes, 4, ctx);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(*restored, stage);
 
   // A shorter prefix was never stored: distinct key, clean miss.
-  const auto other_key = pipeline::ResultCache::make_stage_key(
-      input_fp, pipeline::spec_prefix_digest(passes, 3),
-      pipeline::ResultCache::context_digest(context()));
-  EXPECT_FALSE(cache.lookup_stage(other_key).has_value());
+  EXPECT_FALSE(cache.lookup_stage(input_fp, passes, 3, ctx).has_value());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.stage_stores, 1u);
   EXPECT_EQ(stats.stage_hits, 1u);
   EXPECT_EQ(stats.stage_misses, 1u);
-  EXPECT_EQ(stats.stores, 0u);  // full-run counters untouched
+  EXPECT_EQ(stats.stores, 0u);  // finished-compile counters untouched
 }
 
 TEST_F(ResultCacheTest, CorruptStagePayloadIsRemovedAndCountedBad) {
   pipeline::PassManager manager(context());
   const auto passes = *pipeline::parse_pipeline_spec(kSpec);
   const auto stage = capture_stage(manager, passes, /*boundary=*/3);
-  const auto key = pipeline::ResultCache::make_stage_key(
-      ir::fingerprint(workload::make_kernel("crc32")->func),
-      pipeline::spec_prefix_digest(passes, 4),
-      pipeline::ResultCache::context_digest(context()));
+  const std::uint64_t input_fp =
+      ir::fingerprint(workload::make_kernel("crc32")->func);
+  const std::uint64_t ctx = pipeline::ResultCache::context_digest(context());
 
   pipeline::ResultCache cache(dir.string());
   ASSERT_TRUE(cache.ok()) << cache.error();
-  ASSERT_TRUE(cache.insert_stage(key, stage));
+  ASSERT_TRUE(cache.insert_stage(input_fp, passes, ctx, stage));
   const auto files = entry_files();
   ASSERT_EQ(files.size(), 1u);
   std::string bytes = slurp(files[0]);
   bytes[bytes.size() / 2] ^= 0x40;  // payload flip; the digest catches it
   spit(files[0], bytes);
 
-  EXPECT_FALSE(cache.lookup_stage(key).has_value());
+  EXPECT_FALSE(cache.lookup_stage(input_fp, passes, 4, ctx).has_value());
   EXPECT_EQ(cache.stats().bad_entries, 1u);
   EXPECT_TRUE(entry_files().empty());  // removed on contact
 }
 
 TEST_F(ResultCacheTest, CorruptEntryRemovalDecrementsTrackedBytes) {
-  // Eviction trusts total_bytes(); if deleting a corrupt entry forgot
+  // Eviction trusts total_bytes(); if deleting a corrupt record forgot
   // to release its bytes, the phantom accounting would eventually evict
-  // healthy entries to pay for files that no longer exist.
+  // healthy records to pay for files that no longer exist.
   pipeline::PassManager manager(context());
-  const auto run = manager.run(workload::make_kernel("crc32")->func, kSpec);
-  ASSERT_TRUE(run.ok) << run.error;
   const auto passes = *pipeline::parse_pipeline_spec(kSpec);
   const auto stage = capture_stage(manager, passes, /*boundary=*/3);
+  const auto finished = capture_stage(manager, passes, passes.size() - 1);
+  const std::uint64_t input_fp =
+      ir::fingerprint(workload::make_kernel("crc32")->func);
+  const std::uint64_t ctx = pipeline::ResultCache::context_digest(context());
 
   pipeline::ResultCache cache(dir.string());
   ASSERT_TRUE(cache.ok()) << cache.error();
-  const auto full_key = pipeline::ResultCache::make_key(
-      ir::fingerprint(workload::make_kernel("crc32")->func), kSpec,
-      pipeline::ResultCache::context_digest(context()));
-  const auto stage_key = pipeline::ResultCache::make_stage_key(
-      ir::fingerprint(workload::make_kernel("crc32")->func),
-      pipeline::spec_prefix_digest(passes, 4),
-      pipeline::ResultCache::context_digest(context()));
-  ASSERT_TRUE(cache.insert(full_key, run));
-  ASSERT_TRUE(cache.insert_stage(stage_key, stage));
+  ASSERT_TRUE(cache.insert_stage(input_fp, passes, ctx, finished));
+  ASSERT_TRUE(cache.insert_stage(input_fp, passes, ctx, stage));
   const std::uint64_t before = cache.total_bytes();
 
-  // Find and corrupt the stage entry's file (the full entry is the one
-  // lookup() still restores afterwards).
+  // Corrupt the prefix record's file (the finished record is the one
+  // the probe still restores afterwards).
+  const std::string stage_name =
+      pipeline::ResultCache::make_stage_key(
+          input_fp, pipeline::spec_prefix_digest(passes, 4), ctx)
+          .text()
+          .substr(2) +
+      ".entry";
   const auto files = entry_files();
   ASSERT_EQ(files.size(), 2u);
   std::uint64_t corrupted_size = 0;
   for (const auto& file : files) {
-    std::string bytes = slurp(file);
-    ByteReader probe(bytes);
-    if (probe.u64() == 0x5441444641534731ull) {  // "TADFASG1"
+    if (file.filename() == stage_name) {
+      std::string bytes = slurp(file);
       corrupted_size = bytes.size();
       bytes[bytes.size() / 2] ^= 0x40;
       spit(file, bytes);
@@ -562,11 +597,13 @@ TEST_F(ResultCacheTest, CorruptEntryRemovalDecrementsTrackedBytes) {
   }
   ASSERT_GT(corrupted_size, 0u);
 
-  EXPECT_FALSE(cache.lookup_stage(stage_key).has_value());
+  EXPECT_FALSE(cache.lookup_stage(input_fp, passes, 4, ctx).has_value());
   EXPECT_EQ(cache.stats().bad_entries, 1u);
   // Exactly the corrupt file's bytes are released, no more, no less.
   EXPECT_EQ(cache.total_bytes(), before - corrupted_size);
-  EXPECT_TRUE(cache.lookup(full_key, "crc32").has_value());
+  EXPECT_TRUE(cache.lookup_longest_stage(input_fp, passes, ctx, "crc32",
+                                         /*prefixes=*/false)
+                  .has_value());
 }
 
 TEST_F(ResultCacheTest, GraphRecordRoundTripsAndCorruptionDegrades) {
@@ -596,7 +633,7 @@ TEST_F(ResultCacheTest, GraphRecordRoundTripsAndCorruptionDegrades) {
   EXPECT_EQ(stats.graph_stores, 2u);
   EXPECT_EQ(stats.graph_hits, 2u);
   EXPECT_EQ(stats.graph_misses, 1u);
-  EXPECT_EQ(stats.stores, 0u);  // full-run counters untouched
+  EXPECT_EQ(stats.stores, 0u);  // finished-compile counters untouched
 
   // A flipped payload byte fails the trailing digest: kCorrupt, counted
   // bad, the file removed, and its bytes released from the total.
@@ -617,6 +654,13 @@ TEST_F(ResultCacheTest, GraphRecordRoundTripsAndCorruptionDegrades) {
             pipeline::ResultCache::GraphReadStatus::kMiss);
 }
 
+/// `stage` relabelled as the freeze after the first `k` passes, so one
+/// captured snapshot can fill several record slots.
+pipeline::StageEntry at_boundary(pipeline::StageEntry stage, std::size_t k) {
+  stage.passes_done = static_cast<std::uint32_t>(k);
+  return stage;
+}
+
 TEST_F(ResultCacheTest, IndexFlushIntervalControlsWhenTheIndexHitsDisk) {
   pipeline::PassManager manager(context());
   const auto passes = *pipeline::parse_pipeline_spec(kSpec);
@@ -632,10 +676,8 @@ TEST_F(ResultCacheTest, IndexFlushIntervalControlsWhenTheIndexHitsDisk) {
     pipeline::ResultCache cache(dir.string());
     ASSERT_TRUE(cache.ok()) << cache.error();
     for (std::size_t k = 1; k <= 2; ++k) {
-      ASSERT_TRUE(cache.insert_stage(
-          pipeline::ResultCache::make_stage_key(
-              input_fp, pipeline::spec_prefix_digest(passes, k), ctx),
-          stage));
+      ASSERT_TRUE(
+          cache.insert_stage(input_fp, passes, ctx, at_boundary(stage, k)));
     }
     EXPECT_FALSE(fs::exists(index));
     cache.flush();
@@ -648,10 +690,8 @@ TEST_F(ResultCacheTest, IndexFlushIntervalControlsWhenTheIndexHitsDisk) {
   pipeline::ResultCache cache(
       pipeline::ResultCache::Config{dir.string(), 0, 1});
   ASSERT_TRUE(cache.ok()) << cache.error();
-  ASSERT_TRUE(cache.insert_stage(
-      pipeline::ResultCache::make_stage_key(
-          input_fp, pipeline::spec_prefix_digest(passes, 1), ctx),
-      stage));
+  ASSERT_TRUE(
+      cache.insert_stage(input_fp, passes, ctx, at_boundary(stage, 1)));
   EXPECT_TRUE(fs::exists(index));
   const std::string rows = slurp(index);
   EXPECT_NE(rows.find("tadfa-result-cache-index"), std::string::npos);
@@ -664,18 +704,15 @@ TEST_F(ResultCacheTest, StageEntriesParticipateInEviction) {
   const std::uint64_t input_fp =
       ir::fingerprint(workload::make_kernel("crc32")->func);
   const std::uint64_t ctx = pipeline::ResultCache::context_digest(context());
-  auto key_at = [&](std::size_t k) {
-    return pipeline::ResultCache::make_stage_key(
-        input_fp, pipeline::spec_prefix_digest(passes, k), ctx);
-  };
 
-  // Size the budget from reality, as the full-entry eviction test does.
+  // Size the budget from reality, as the module eviction test does.
   std::uint64_t full_bytes = 0;
   {
     pipeline::ResultCache cache(dir.string());
     ASSERT_TRUE(cache.ok()) << cache.error();
     for (std::size_t k = 1; k <= passes.size(); ++k) {
-      ASSERT_TRUE(cache.insert_stage(key_at(k), stage));
+      ASSERT_TRUE(
+          cache.insert_stage(input_fp, passes, ctx, at_boundary(stage, k)));
     }
     full_bytes = cache.total_bytes();
   }
@@ -685,10 +722,13 @@ TEST_F(ResultCacheTest, StageEntriesParticipateInEviction) {
   pipeline::ResultCache cache(dir.string(), budget);
   ASSERT_TRUE(cache.ok()) << cache.error();
   for (std::size_t k = 1; k <= passes.size(); ++k) {
-    ASSERT_TRUE(cache.insert_stage(key_at(k), stage));
+    ASSERT_TRUE(
+        cache.insert_stage(input_fp, passes, ctx, at_boundary(stage, k)));
   }
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.stage_stores, passes.size());
+  // k = 1 .. n-1 are prefix records; k = n is the finished compile.
+  EXPECT_EQ(stats.stage_stores, passes.size() - 1);
+  EXPECT_EQ(stats.stores, 1u);
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_LT(cache.entry_count(), passes.size());
   EXPECT_TRUE(cache.total_bytes() <= budget || cache.entry_count() == 1);

@@ -20,6 +20,7 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -85,6 +86,20 @@ struct Options {
   std::string frontend;
   std::string machine = "default";
 };
+
+/// Parses an integer flag value into T, which must hold it and be at
+/// least `lo`: a value that would narrow is a usage error, never a
+/// silent wrap.
+template <typename T>
+std::optional<T> parse_flag_int(const std::string& text, long long lo) {
+  long long n = 0;
+  if (!parse_int(text, n) || n < lo ||
+      static_cast<unsigned long long>(n) >
+          static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<T>(n);
+}
 
 /// Whether every registered machine can build its thermal grid at this
 /// subdivision. serve builds machines lazily with the same subdivision,
@@ -290,12 +305,12 @@ int run_compile(int argc, char** argv) {
       opt.edit_aware = true;
       opt.explain_invalidation = true;
     } else if (auto v = value("--stage-every=")) {
-      long long n = 0;
-      if (!parse_int(*v, n) || n < 1) {
+      const auto n = parse_flag_int<unsigned>(*v, 1);
+      if (!n) {
         return usage(argv[0]);
       }
       opt.incremental = true;
-      opt.stage_every = static_cast<unsigned>(n);
+      opt.stage_every = *n;
     } else if (arg == "--no-map") {
       opt.maps = false;
     } else if (arg == "--csv") {
@@ -324,11 +339,11 @@ int run_compile(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (auto v = value("--max-iters=")) {
-      long long n = 0;
-      if (!parse_int(*v, n) || n < 1) {
+      const auto n = parse_flag_int<int>(*v, 1);
+      if (!n) {
         return usage(argv[0]);
       }
-      opt.max_iterations = static_cast<int>(n);
+      opt.max_iterations = *n;
     } else if (auto v = value("--seed=")) {
       long long n = 0;
       if (!parse_int(*v, n) || n < 0) {
@@ -336,11 +351,11 @@ int run_compile(int argc, char** argv) {
       }
       opt.seed = static_cast<std::uint64_t>(n);
     } else if (auto v = value("--jobs=")) {
-      long long n = 0;
-      if (!parse_int(*v, n) || n < 0) {
+      const auto n = parse_flag_int<unsigned>(*v, 0);
+      if (!n) {
         return usage(argv[0]);
       }
-      opt.jobs = static_cast<unsigned>(n);
+      opt.jobs = *n;
     } else if (auto v = value("--subdivision=")) {
       long long n = 0;
       if (!parse_int(*v, n) || !subdivision_fits_every_machine(n)) {
@@ -592,6 +607,11 @@ int run_compile(int argc, char** argv) {
           mismatch = "fingerprint differs";
         } else if (fresh.state.spilled_regs != hit->run.state.spilled_regs) {
           mismatch = "spill count differs";
+        } else if (const auto* a = fresh.state.assignment(),
+                   *b = hit->run.state.assignment();
+                   (a == nullptr) != (b == nullptr) ||
+                   (a != nullptr && *a != *b)) {
+          mismatch = "assignment differs";
         } else if (fresh.pass_stats.size() != hit->run.pass_stats.size()) {
           mismatch = "pass count differs";
         } else {
@@ -842,16 +862,18 @@ int run_serve(const char* argv0, int argc, char** argv) {
     } else if (arg == "--incremental") {
       cfg.stage_policy.enabled = true;
     } else if (auto v = value("--stage-every=")) {
-      if (!parse_int(*v, n) || n < 1) {
+      const auto k = parse_flag_int<unsigned>(*v, 1);
+      if (!k) {
         return serve_usage(argv0);
       }
       cfg.stage_policy.enabled = true;
-      cfg.stage_policy.every_k = static_cast<unsigned>(n);
+      cfg.stage_policy.every_k = *k;
     } else if (auto v = value("--jobs=")) {
-      if (!parse_int(*v, n) || n < 0) {
+      const auto jobs = parse_flag_int<unsigned>(*v, 0);
+      if (!jobs) {
         return serve_usage(argv0);
       }
-      cfg.jobs = static_cast<unsigned>(n);
+      cfg.jobs = *jobs;
     } else if (auto v = value("--metrics-every=")) {
       if (!parse_double(*v, metrics_every) || metrics_every < 0) {
         return serve_usage(argv0);
@@ -861,10 +883,11 @@ int run_serve(const char* argv0, int argc, char** argv) {
         return serve_usage(argv0);
       }
     } else if (auto v = value("--max-iters=")) {
-      if (!parse_int(*v, n) || n < 1) {
+      const auto iters = parse_flag_int<int>(*v, 1);
+      if (!iters) {
         return serve_usage(argv0);
       }
-      max_iterations = static_cast<int>(n);
+      max_iterations = *iters;
     } else if (auto v = value("--subdivision=")) {
       if (!parse_int(*v, n) || !subdivision_fits_every_machine(n)) {
         return serve_usage(argv0);
