@@ -169,7 +169,6 @@ int main() {
          "hypothesized accuracy degradation — hotspot overlap is noisy "
          "but correlation stays ~0.96 at every irregularity level. In "
          "this implementation the dominant static-prediction error is "
-         "loop trip-count misestimation, not branch irregularity; see "
-         "EXPERIMENTS.md.\n";
+         "loop trip-count misestimation, not branch irregularity.\n";
   return 0;
 }

@@ -1,7 +1,7 @@
 // Shared experiment plumbing for the bench harnesses: a standard rig
 // (floorplan/grid/power/timing), the allocate-run-trace-replay pipeline,
-// and map printing. Every bench binary prints the exact rows recorded in
-// EXPERIMENTS.md.
+// and map printing. Every bench binary prints its results as TextTable
+// rows.
 #pragma once
 
 #include <iostream>

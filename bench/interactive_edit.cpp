@@ -221,7 +221,6 @@ int main(int argc, char** argv) {
     std::cerr << "warm resubmit failed: " << warm.error << "\n";
     return 1;
   }
-  cache.flush();
   // A pristine copy of the warm cache lets the jobs=N edited resubmit run
   // against the same starting state as the jobs=1 one.
   fs::copy(warm_dir, copy_dir, fs::copy_options::recursive, ec);

@@ -7,7 +7,7 @@
 // probability distribution over physical cells. These models encode what
 // the compiler can plausibly assume about the downstream assignment stage;
 // the accuracy they give up relative to the exact post-RA mode is one of
-// the quantities EXPERIMENTS.md reports.
+// the quantities bench_accuracy_vs_simulation measures.
 #pragma once
 
 #include <memory>

@@ -1,20 +1,18 @@
 #include "pipeline/result_cache.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <sstream>
-
-#include "support/string_utils.hpp"
+#include <tuple>
 
 namespace tadfa::pipeline {
 namespace {
 
 namespace fs = std::filesystem;
-
-constexpr const char* kIndexName = "index.txt";
-constexpr const char* kIndexHeader = "tadfa-result-cache-index v1";
 
 std::string hex64(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
@@ -168,12 +166,8 @@ std::optional<StageEntry> StageEntry::deserialize(ByteReader& r) {
 
 // --- ResultCache -------------------------------------------------------------
 
-ResultCache::ResultCache(Config config)
-    : dir_(std::move(config.dir)),
-      max_bytes_(config.max_bytes),
-      // 0 would mean "never reach the threshold"; clamp to flush-per-store.
-      index_flush_interval_(std::max<std::uint32_t>(
-          config.index_flush_interval, 1)) {
+ResultCache::ResultCache(std::string dir, std::uint64_t max_bytes)
+    : dir_(std::move(dir)), max_bytes_(max_bytes) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec || !fs::is_directory(dir_)) {
@@ -183,7 +177,7 @@ ResultCache::ResultCache(Config config)
   }
   ok_ = true;
   std::lock_guard<std::mutex> lock(mu_);
-  load_index_locked();
+  scan_records_locked();
 }
 
 std::uint64_t ResultCache::context_digest(const PipelineContext& ctx) {
@@ -271,13 +265,6 @@ bool ResultCache::write_record(const CacheKey& key, const Envelope& kind,
   row.bytes = bytes.size();
   row.seq = next_seq_++;
   evict_until_fits_locked();
-  // Index persistence is batched: rewriting it per store would make a
-  // cold run O(entries²) in index bytes and serialize the workers on
-  // it. A stale index only costs accounting (load reconciles).
-  if (++index_dirty_ >= index_flush_interval_) {
-    save_index_locked();
-    index_dirty_ = 0;
-  }
   return true;
 }
 
@@ -287,7 +274,8 @@ ResultCache::GraphRecord ResultCache::read_record(const CacheKey& key,
   if (!ok_) {
     return record;
   }
-  const auto bytes = read_file(entry_path(key));
+  const fs::path path = entry_path(key);
+  const auto bytes = read_file(path);
   if (!bytes.has_value()) {
     return record;
   }
@@ -302,18 +290,25 @@ ResultCache::GraphRecord ResultCache::read_record(const CacheKey& key,
                     .mix(std::string_view(record.payload))
                     .digest() == digest;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!valid) {
-    // A record exists but cannot be trusted: delete it (releasing its
-    // bytes with the index row) so the next store rewrites it.
-    remove_entry_locked(key.text(), /*count_bad=*/true);
-    record.payload.clear();
-    record.status = GraphReadStatus::kCorrupt;
-    return record;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!valid) {
+      // A record exists but cannot be trusted: delete it (releasing its
+      // bytes with the index row) so the next store rewrites it.
+      remove_entry_locked(key.text(), /*count_bad=*/true);
+      record.payload.clear();
+      record.status = GraphReadStatus::kCorrupt;
+      return record;
+    }
+    if (auto it = index_.find(key.text()); it != index_.end()) {
+      it->second.seq = next_seq_++;  // LRU touch
+    }
   }
-  if (auto it = index_.find(key.text()); it != index_.end()) {
-    it->second.seq = next_seq_++;  // LRU touch (persisted on next insert)
-  }
+  // The on-disk LRU touch: the next process to open the cache seeds its
+  // order from the mtimes. A read-only directory still serves; its
+  // records just keep their old stamps.
+  std::error_code ec;
+  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   record.status = GraphReadStatus::kHit;
   return record;
 }
@@ -434,52 +429,17 @@ ResultCache::GraphRecord ResultCache::lookup_graph(const CacheKey& key) {
                                             : stats_.graph_misses);
   return record;
 }
-ResultCache::~ResultCache() { flush(); }
 
-void ResultCache::flush() {
-  if (!ok_) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (index_dirty_ != 0) {
-    save_index_locked();
-    index_dirty_ = 0;
-  }
-}
-
-void ResultCache::load_index_locked() {
-  if (const auto bytes = read_file(dir_ / kIndexName); bytes.has_value()) {
-    std::istringstream in(*bytes);
-    std::string line;
-    bool first = true;
-    while (std::getline(in, line)) {
-      if (first) {
-        first = false;
-        if (trim(line) != kIndexHeader) {
-          break;  // foreign or older index; the directory scan rebuilds
-        }
-        continue;
-      }
-      const auto fields = split_whitespace(line);
-      long long bytes_field = 0;
-      long long seq_field = 0;
-      if (fields.size() != 3 || fields[0].size() != 32 ||
-          !is_hex(fields[0]) || !parse_int(fields[1], bytes_field) ||
-          !parse_int(fields[2], seq_field) || bytes_field < 0 ||
-          seq_field < 0) {
-        continue;  // torn or hand-edited row; files are the truth anyway
-      }
-      index_[fields[0]] = {static_cast<std::uint64_t>(bytes_field),
-                           static_cast<std::uint64_t>(seq_field)};
-      next_seq_ = std::max(next_seq_,
-                           static_cast<std::uint64_t>(seq_field) + 1);
-    }
-  }
-  // Reconcile against the files that actually exist: rows without a
-  // file are dropped, files without a row (another process's inserts,
-  // a lost index) are adopted. Lookups never consult the index, so
-  // this only affects size accounting and eviction order.
-  std::map<std::string, IndexEntry> reconciled;
+void ResultCache::scan_records_locked() {
+  // The record files are the whole state: anything else in the
+  // directory (a writer's temp file, a side file an older build left)
+  // is neither counted nor touched.
+  struct Found {
+    timespec mtime;
+    std::string key_text;
+    std::uint64_t bytes;
+  };
+  std::vector<Found> found;
   std::error_code ec;
   for (fs::directory_iterator dir_it(dir_, ec);
        !ec && dir_it != fs::directory_iterator(); ++dir_it) {
@@ -497,34 +457,24 @@ void ResultCache::load_index_locked() {
         continue;
       }
       const std::string stem = p.stem().string();
-      if (stem.size() != 30 || !is_hex(stem)) {
+      struct stat st{};
+      if (stem.size() != 30 || !is_hex(stem) || ::stat(p.c_str(), &st) != 0) {
         continue;
       }
-      const std::string key_text = prefix + stem;
-      IndexEntry entry;
-      if (auto it = index_.find(key_text); it != index_.end()) {
-        entry = it->second;
-      }
-      std::error_code size_ec;
-      const auto size = fs::file_size(p, size_ec);
-      entry.bytes = size_ec ? entry.bytes : size;
-      reconciled[key_text] = entry;
+      found.push_back({st.st_mtim, prefix + stem,
+                       static_cast<std::uint64_t>(st.st_size)});
     }
   }
-  index_ = std::move(reconciled);
-  bytes_total_ = 0;
-  for (const auto& [key_text, entry] : index_) {
-    bytes_total_ += entry.bytes;
+  // Oldest first, ties broken by key text so the order is total and
+  // does not depend on directory order.
+  std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
+    return std::tie(a.mtime.tv_sec, a.mtime.tv_nsec, a.key_text) <
+           std::tie(b.mtime.tv_sec, b.mtime.tv_nsec, b.key_text);
+  });
+  for (const Found& f : found) {
+    index_[f.key_text] = {f.bytes, next_seq_++};
+    bytes_total_ += f.bytes;
   }
-}
-
-void ResultCache::save_index_locked() {
-  std::ostringstream out;
-  out << kIndexHeader << "\n";
-  for (const auto& [key_text, entry] : index_) {
-    out << key_text << " " << entry.bytes << " " << entry.seq << "\n";
-  }
-  write_file_atomic(dir_ / kIndexName, out.str());
 }
 
 void ResultCache::remove_entry_locked(const std::string& key_text,

@@ -29,10 +29,12 @@
 // functions share a record, and a restore re-stamps the requested name.
 //
 // On disk. Records live under a two-level hash layout,
-// `<dir>/<key[0:2]>/<key[2:]>.entry`, next to an `index.txt` used for
-// size accounting and LRU eviction (lookups address record files
-// directly, so a stale or lost index can never hide a record). Stage
-// records and dependency-graph records share one checksummed envelope:
+// `<dir>/<key[0:2]>/<key[2:]>.entry`, and the record files are the
+// cache's only state. Opening a cache walks them for size accounting;
+// a record's mtime is its LRU stamp (a write gives a fresh one, a hit
+// sets it to now), so recency survives a restart whether or not the
+// process stored anything. Stage records and dependency-graph records
+// share one checksummed envelope:
 //
 //     [u64 magic][u32 format version][u64 key.hi][u64 key.lo]
 //     [str payload][u64 payload digest]
@@ -49,7 +51,8 @@
 //
 // Thread safety: all public methods are safe to call from concurrent
 // driver workers (and from concurrent processes sharing the directory;
-// the index degrades to best-effort accounting there).
+// each process's size accounting is then best-effort, since it only
+// sees its own stores and evictions).
 #pragma once
 
 #include <cstdint>
@@ -154,29 +157,14 @@ class ResultCache {
   /// same envelope as stage records (magic "TADFADG1"). The payload is
   /// an opaque serialized pipeline::DependencyGraph; the cache checksums
   /// it exactly like a stage payload. Graph records share the directory,
-  /// index, size accounting, and LRU eviction with stage records.
+  /// size accounting, and LRU eviction with stage records.
   static constexpr std::uint32_t kGraphFormatVersion = 1;
 
-  struct Config {
-    std::string dir;
-    /// 0 = unbounded; otherwise inserts evict least-recently-used
-    /// records (stage and graph alike) until the total fits.
-    std::uint64_t max_bytes = 0;
-    /// Stores between batched index.txt rewrites (0 behaves as 1 —
-    /// every store flushes). The default keeps a cold run from being
-    /// O(entries²) in index bytes; long-lived processes that must not
-    /// rely on the destructor call flush() themselves.
-    std::uint32_t index_flush_interval = 64;
-  };
-
-  /// Opens (creating directories as needed) a cache rooted at
-  /// `config.dir`.
-  explicit ResultCache(Config config);
-  /// Convenience form with default index batching.
-  explicit ResultCache(std::string dir, std::uint64_t max_bytes = 0)
-      : ResultCache(Config{std::move(dir), max_bytes, 64}) {}
-  /// Persists any unwritten index rows (see flush()).
-  ~ResultCache();
+  /// Opens (creating directories as needed) a cache rooted at `dir`.
+  /// `max_bytes` = 0 is unbounded; otherwise inserts evict
+  /// least-recently-used records (stage and graph alike) until the
+  /// total fits.
+  explicit ResultCache(std::string dir, std::uint64_t max_bytes = 0);
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -256,8 +244,8 @@ class ResultCache {
   bool insert_graph(const CacheKey& key, const std::string& payload);
 
   /// Reads + validates one graph record. A corrupt record counts
-  /// bad_entries, is deleted (with its index row and byte accounting),
-  /// and reports kCorrupt.
+  /// bad_entries, is deleted (with its byte accounting), and reports
+  /// kCorrupt.
   GraphRecord lookup_graph(const CacheKey& key);
 
   /// Books a lookup that threw out of the cache as a miss plus a
@@ -284,14 +272,6 @@ class ResultCache {
   std::size_t entry_count() const;
   std::uint64_t total_bytes() const;
 
-  /// Rewrites index.txt now. Inserts batch index persistence (one
-  /// rewrite every Config::index_flush_interval stores, plus one at
-  /// destruction) so a cold run is not O(entries²) in index bytes
-  /// written; the index is advisory and reconciled against the entry
-  /// files on open, so a crash between flushes loses accounting hints,
-  /// never entries.
-  void flush();
-
   /// Hit/miss/store/evict counter table, printed by `tadfa
   /// --cache-stats` next to the analysis-cache statistics.
   TextTable stats_table(const std::string& title = "result cache") const;
@@ -299,8 +279,8 @@ class ResultCache {
  private:
   struct IndexEntry {
     std::uint64_t bytes = 0;
-    /// Recency stamp for LRU eviction (monotone per process; persisted
-    /// best-effort through the index file).
+    /// Recency stamp for LRU eviction (monotone per process; seeded
+    /// from the record mtimes on open).
     std::uint64_t seq = 0;
   };
   /// What tells one record kind's envelope from another's. Magics are
@@ -319,24 +299,23 @@ class ResultCache {
       0x6465702d73756d31ull /* "dep-sum1" */};
 
   std::filesystem::path entry_path(const CacheKey& key) const;
-  /// Reads `index.txt` and reconciles it against the entry files that
-  /// actually exist (files win; the index is advisory).
-  void load_index_locked();
-  /// Atomically rewrites `index.txt` (temp + rename).
-  void save_index_locked();
+  /// Walks the record files: one stat each for size and mtime, with
+  /// the LRU order seeded oldest-first by (mtime, key text).
+  void scan_records_locked();
   /// Deletes the entry file and index row; `count_bad` attributes the
   /// removal to corruption rather than eviction.
   void remove_entry_locked(const std::string& key_text, bool count_bad);
   void evict_until_fits_locked();
   /// The shared write path: wraps `payload` in `kind`'s envelope, writes
   /// it under `key`, books `counter` (or a store failure), the index
-  /// row, eviction, and the batched index flush.
+  /// row, and eviction.
   bool write_record(const CacheKey& key, const Envelope& kind,
                     std::string_view payload,
                     std::uint64_t ResultCacheStats::*counter);
   /// The shared validated read: magic, version, key echo, and payload
   /// digest. A record that fails any check is deleted and counted bad
-  /// (kCorrupt); a hit refreshes the LRU stamp. Counts no hit or miss.
+  /// (kCorrupt); a hit refreshes the LRU stamp, in memory and as the
+  /// file's mtime. Counts no hit or miss.
   GraphRecord read_record(const CacheKey& key, const Envelope& kind);
   /// read_record plus StageEntry decoding; nullopt when absent or
   /// corrupt (a payload that does not decode is deleted and counted).
@@ -344,7 +323,6 @@ class ResultCache {
 
   std::filesystem::path dir_;
   std::uint64_t max_bytes_ = 0;
-  std::uint32_t index_flush_interval_ = 64;
   bool ok_ = false;
   std::string error_;
 
@@ -353,8 +331,6 @@ class ResultCache {
   /// Running sum of index_ entry bytes (kept incrementally so inserts
   /// do not rescan the map).
   std::uint64_t bytes_total_ = 0;
-  /// Stores since the last index rewrite.
-  std::uint32_t index_dirty_ = 0;
   std::uint64_t next_seq_ = 1;
   ResultCacheStats stats_;
   std::function<void(std::string_view)> fault_hook_;

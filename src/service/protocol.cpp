@@ -4,11 +4,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace tadfa::service {
 namespace {
@@ -482,32 +479,6 @@ int connect_unix(const std::string& socket_path, std::string* error) {
     return -1;
   }
   return fd;
-}
-
-int connect_unix_retry(const std::string& socket_path, double timeout_seconds,
-                       std::string* error) {
-  using Clock = std::chrono::steady_clock;
-  const auto deadline =
-      Clock::now() + std::chrono::duration<double>(timeout_seconds);
-  auto backoff = std::chrono::milliseconds(10);
-  constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
-  for (;;) {
-    const int fd = connect_unix(socket_path, error);
-    if (fd >= 0) {
-      return fd;
-    }
-    const auto now = Clock::now();
-    if (now >= deadline) {
-      return -1;
-    }
-    auto sleep_for = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - now);
-    if (backoff < sleep_for) {
-      sleep_for = backoff;
-    }
-    std::this_thread::sleep_for(sleep_for);
-    backoff = std::min(backoff * 2, kMaxBackoff);
-  }
 }
 
 }  // namespace tadfa::service

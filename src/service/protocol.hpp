@@ -235,12 +235,4 @@ std::optional<CompileResponse> read_response(int fd, std::string* error);
 /// Connects to a Unix-domain socket; -1 on failure (with `error`).
 int connect_unix(const std::string& socket_path, std::string* error);
 
-/// connect_unix with bounded exponential backoff: retries a refused or
-/// missing socket (a server still binding) until `timeout_seconds` of
-/// budget is spent, sleeping 10 ms, 20 ms, ... capped at 200 ms between
-/// attempts. Returns the connected fd, or -1 with the *last* attempt's
-/// error once the budget runs out.
-int connect_unix_retry(const std::string& socket_path, double timeout_seconds,
-                       std::string* error);
-
 }  // namespace tadfa::service

@@ -25,6 +25,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Ceiling on functions batched into one module compile.
+constexpr std::size_t kMaxBatchFunctions = 256;
+
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -194,10 +197,6 @@ void CompileServer::shutdown() {
   }
   queue_cv_.notify_all();
   dispatch_thread_.join();
-
-  if (cache_.has_value()) {
-    cache_->flush();
-  }
   started_ = false;
 }
 
@@ -381,34 +380,20 @@ std::optional<CompileResponse> CompileServer::resolve(
 }
 
 void CompileServer::dispatch_loop() {
-  auto last_flush = Clock::now();
-  const auto flush_interval = std::chrono::duration<double>(
-      config_.flush_every_seconds > 0 ? config_.flush_every_seconds : 5.0);
   for (;;) {
     std::vector<std::unique_ptr<Pending>> batch;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait_for(lock, flush_interval, [&] {
-        return dispatcher_stop_ || !queue_.empty();
-      });
-      if (queue_.empty() && dispatcher_stop_) {
-        return;
+      queue_cv_.wait(lock, [&] { return dispatcher_stop_ || !queue_.empty(); });
+      if (queue_.empty()) {
+        return;  // woken only by stop, with nothing left to drain
       }
       while (!queue_.empty()) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
     }
-    if (!batch.empty()) {
-      process_batch(std::move(batch));
-    }
-    if (cache_.has_value() &&
-        Clock::now() - last_flush >= flush_interval) {
-      // A long-lived server must persist the cache index on a clock,
-      // not on its destructor.
-      cache_->flush();
-      last_flush = Clock::now();
-    }
+    process_batch(std::move(batch));
   }
 }
 
@@ -459,7 +444,7 @@ void CompileServer::process_batch_unguarded(
     for (Group& group : groups) {
       if (pending->edit_aware || group.exclusive || group.key != key ||
           group.module.size() + pending->functions.size() >
-              config_.max_batch_functions) {
+              kMaxBatchFunctions) {
         continue;
       }
       bool collides = false;

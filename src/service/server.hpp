@@ -32,10 +32,9 @@
 // Lifetime: start() binds the listeners and spawns the threads;
 // shutdown() drains — it stops accepting, half-closes every
 // connection's read side, lets in-flight requests finish compiling and
-// responding, and only then stops the dispatcher and flushes the cache.
-// The dispatcher also flushes the cache periodically while serving: a
-// long-lived server must never depend on the destructor-flush path a
-// batch tool gets for free.
+// responding, and only then stops the dispatcher. The cache needs no
+// flush: its record files (and their mtimes, the LRU stamps) are its
+// whole state, written as each store and hit happens.
 #pragma once
 
 #include <atomic>
@@ -77,10 +76,6 @@ struct ServerConfig {
   std::string cache_dir;
   /// ResultCache size budget (0 = unbounded).
   std::uint64_t cache_max_bytes = 0;
-  /// Seconds between periodic cache index flushes.
-  double flush_every_seconds = 5.0;
-  /// Ceiling on functions batched into one module compile.
-  std::size_t max_batch_functions = 256;
   /// Admission control: requests allowed to wait for the dispatcher
   /// (0 = unbounded). A request arriving at a full queue is answered
   /// with a structured BUSY response instead of queuing.

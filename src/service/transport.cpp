@@ -279,15 +279,15 @@ int connect_tcp(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-int connect_tcp_retry(const std::string& host, std::uint16_t port,
-                      double timeout_seconds, std::string* error) {
+int connect_with_retry(const std::function<int()>& connect,
+                       double timeout_seconds) {
   using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::duration<double>(timeout_seconds);
   auto backoff = std::chrono::milliseconds(10);
   constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
   for (;;) {
-    const int fd = connect_tcp(host, port, error);
+    const int fd = connect();
     if (fd >= 0) {
       return fd;
     }

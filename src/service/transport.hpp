@@ -73,12 +73,14 @@ std::unique_ptr<Listener> make_tcp_listener(std::string host,
 int connect_tcp(const std::string& host, std::uint16_t port,
                 std::string* error);
 
-/// connect_tcp with bounded exponential backoff (10 ms, 20 ms, ...
-/// capped at 200 ms) until `timeout_seconds` of budget is spent, so a
-/// client raced against server startup wins. Returns the connected fd,
-/// or -1 with the last attempt's error.
-int connect_tcp_retry(const std::string& host, std::uint16_t port,
-                      double timeout_seconds, std::string* error);
+/// Calls `connect` (connect_tcp or connect_unix bound to an endpoint)
+/// with bounded exponential backoff (10 ms, 20 ms, ... capped at
+/// 200 ms) until it returns a connected fd or `timeout_seconds` of
+/// budget is spent, so a client raced against server startup wins.
+/// A budget of 0 makes one attempt. Returns the fd, or -1 with the last
+/// attempt's error left where `connect` put it.
+int connect_with_retry(const std::function<int()>& connect,
+                       double timeout_seconds);
 
 /// Owns listeners and per-connection handler threads.
 ///

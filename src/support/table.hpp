@@ -1,7 +1,7 @@
 // Text table and CSV emission for benchmark harnesses.
 //
-// Every bench binary prints its figure/table rows through TextTable so that
-// EXPERIMENTS.md can quote them verbatim.
+// Every bench binary prints its figure/table rows through TextTable, so the
+// same rows read as aligned text or, with CSV output, load into a sheet.
 #pragma once
 
 #include <ostream>

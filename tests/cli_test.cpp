@@ -102,8 +102,9 @@ constexpr const char* kNarrowingFlags[] = {
     "--jobs=4294967296"};
 
 TEST(CliTest, BadThermalFlagsAreUsageErrors) {
-  for (const char* flag : {"--delta=0", "--delta=-1", "--delta=nan",
-                           "--subdivision=0", "--subdivision=6000"}) {
+  for (const char* flag :
+       {"--delta=0", "--delta=-1", "--delta=nan", "--delta=inf",
+        "--subdivision=0", "--subdivision=6000"}) {
     expect_usage_exit(std::string(flag) + " crc32");
   }
   for (const char* flag : kNarrowingFlags) {
@@ -163,6 +164,30 @@ TEST(CliTest, ServeRejectsBadThermalFlagsBeforeBinding) {
   for (const char* flag : kNarrowingFlags) {
     expect_usage_exit("serve --socket=" + socket.string() + " " + flag);
     EXPECT_FALSE(std::filesystem::exists(socket)) << flag;
+  }
+  // Non-finite or huge floating-point values: an infinite δ never
+  // converges, and an infinite timeout overflows its time conversion.
+  // The unknown machine name again keeps a regression from serving
+  // forever.
+  for (const char* flag :
+       {"--delta=inf", "--io-timeout=nan", "--io-timeout=inf",
+        "--io-timeout=1e300", "--metrics-every=nan", "--metrics-every=inf"}) {
+    expect_usage_exit("serve --socket=" + socket.string() + " " + flag +
+                      " --machine=no-such-machine");
+    EXPECT_FALSE(std::filesystem::exists(socket)) << flag;
+  }
+}
+
+// NaN once passed --min-hit-rate, switching the CI warm gate off, and an
+// infinite or huge timeout retried a missing socket forever. Each value
+// is refused before the client reads its inputs or dials.
+TEST(CliTest, ClientRejectsBadNumericFlags) {
+  for (const char* flag :
+       {"--min-hit-rate=nan", "--busy-timeout=inf", "--busy-timeout=nan",
+        "--connect-timeout=inf", "--connect-timeout=nan",
+        "--connect-timeout=1e300"}) {
+    expect_usage_exit(std::string("client --socket=/nonexistent/tadfa.sock ") +
+                      flag + " no-such-input");
   }
 }
 

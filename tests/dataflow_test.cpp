@@ -1,16 +1,14 @@
 // Unit and property tests for src/dataflow: CFG, the generic solver (via
-// liveness), reaching definitions, dominators, loops, frequency estimates,
-// live intervals, interference, and bitwidth analysis.
+// liveness), dominators, loops, frequency estimates, live intervals, and
+// interference.
 #include <gtest/gtest.h>
 
-#include "dataflow/bitwidth.hpp"
 #include "dataflow/cfg.hpp"
 #include "dataflow/dominators.hpp"
 #include "dataflow/interference.hpp"
 #include "dataflow/live_intervals.hpp"
 #include "dataflow/liveness.hpp"
 #include "dataflow/loop_info.hpp"
-#include "dataflow/reaching_defs.hpp"
 #include "ir/builder.hpp"
 #include "ir/parser.hpp"
 #include "workload/random_program.hpp"
@@ -168,40 +166,6 @@ TEST(Liveness, FixedPointIsIdempotent) {
     EXPECT_EQ(a.live_in(blk), b.live_in(blk));
     EXPECT_EQ(a.live_out(blk), b.live_out(blk));
   }
-}
-
-// --------------------------------------------------------- reaching defs ----
-
-TEST(ReachingDefs, BothArmsReachJoin) {
-  const ir::Function f = diamond_function();
-  const Cfg cfg(f);
-  const ReachingDefs rd(cfg);
-  const auto defs = rd.reaching_defs_of({3, 0}, 2);
-  EXPECT_EQ(defs.size(), 2u);
-}
-
-TEST(ReachingDefs, RedefinitionKillsWithinBlock) {
-  ir::Function f = parse(
-      "func @k() {\n"
-      "entry:\n"
-      "  %0 = const 1\n"
-      "  %0 = const 2\n"
-      "  %1 = mov %0\n"
-      "  ret %1\n"
-      "}\n");
-  const Cfg cfg(f);
-  const ReachingDefs rd(cfg);
-  const auto defs = rd.reaching_defs_of({0, 2}, 0);
-  ASSERT_EQ(defs.size(), 1u);
-  EXPECT_EQ(rd.def_sites()[defs[0]].ref.index, 1u);
-}
-
-TEST(ReachingDefs, LoopDefReachesHeader) {
-  const ir::Function f = loop_function();
-  const Cfg cfg(f);
-  const ReachingDefs rd(cfg);
-  const auto defs = rd.reaching_defs_of({1, 0}, 1);
-  EXPECT_EQ(defs.size(), 2u);
 }
 
 // ------------------------------------------------------------ dominators ----
@@ -454,99 +418,6 @@ TEST_P(InterferenceRandomTest, SymmetricAndIrreflexive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterferenceRandomTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-// -------------------------------------------------------------- bitwidth ----
-
-TEST(Bitwidth, ConstHasExactRange) {
-  ir::Function f = parse(
-      "func @c() {\n"
-      "entry:\n"
-      "  %0 = const 100\n"
-      "  ret %0\n"
-      "}\n");
-  const Cfg cfg(f);
-  const BitwidthAnalysis bw(cfg);
-  EXPECT_EQ(bw.range(0).lo, 100);
-  EXPECT_EQ(bw.range(0).hi, 100);
-  EXPECT_EQ(bw.bitwidth(0), 8);
-}
-
-TEST(Bitwidth, AddPropagatesInterval) {
-  ir::Function f = parse(
-      "func @a() {\n"
-      "entry:\n"
-      "  %0 = const 10\n"
-      "  %1 = const 20\n"
-      "  %2 = add %0, %1\n"
-      "  ret %2\n"
-      "}\n");
-  const Cfg cfg(f);
-  const BitwidthAnalysis bw(cfg);
-  EXPECT_EQ(bw.range(2).lo, 30);
-  EXPECT_EQ(bw.range(2).hi, 30);
-}
-
-TEST(Bitwidth, CompareIsOneBitPlusSign) {
-  ir::Function f = parse(
-      "func @cmp(%0, %1) {\n"
-      "entry:\n"
-      "  %2 = cmplt %0, %1\n"
-      "  ret %2\n"
-      "}\n");
-  const Cfg cfg(f);
-  const BitwidthAnalysis bw(cfg);
-  EXPECT_EQ(bw.range(2).lo, 0);
-  EXPECT_EQ(bw.range(2).hi, 1);
-  EXPECT_EQ(bw.bitwidth(2), 2);
-}
-
-TEST(Bitwidth, ParamsAreFullWidth) {
-  ir::Function f = parse("func @p(%0) {\nentry:\n  ret %0\n}\n");
-  const Cfg cfg(f);
-  const BitwidthAnalysis bw(cfg);
-  EXPECT_EQ(bw.bitwidth(0), 64);
-}
-
-TEST(Bitwidth, MaskOfKnownValueNarrows) {
-  ir::Function g = parse(
-      "func @m2() {\n"
-      "entry:\n"
-      "  %0 = const 300\n"
-      "  %1 = and %0, 255\n"
-      "  ret %1\n"
-      "}\n");
-  const Cfg cfg2(g);
-  const BitwidthAnalysis bw2(cfg2);
-  EXPECT_LE(bw2.range(1).hi, 255);
-  EXPECT_GE(bw2.range(1).lo, 0);
-  EXPECT_LE(bw2.bitwidth(1), 9);
-}
-
-TEST(Bitwidth, LoopCounterWidensButTerminates) {
-  const ir::Function f = loop_function();
-  const Cfg cfg(f);
-  const BitwidthAnalysis bw(cfg);
-  EXPECT_LE(bw.iterations(), 64);
-  EXPECT_GE(bw.range(1).lo, 0);
-}
-
-TEST(Bitwidth, RangeJoin) {
-  ValueRange a = ValueRange::exact(5);
-  EXPECT_TRUE(a.join(ValueRange::exact(10)));
-  EXPECT_EQ(a.lo, 5);
-  EXPECT_EQ(a.hi, 10);
-  EXPECT_FALSE(a.join(ValueRange::exact(7)));
-  ValueRange bottom = ValueRange::bottom();
-  EXPECT_TRUE(bottom.join(a));
-  EXPECT_EQ(bottom.lo, 5);
-}
-
-TEST(Bitwidth, NegativeBitwidth) {
-  EXPECT_EQ(ValueRange::exact(-1).bitwidth(), 1);
-  EXPECT_EQ(ValueRange::exact(-128).bitwidth(), 8);
-  EXPECT_EQ(ValueRange::exact(127).bitwidth(), 8);
-  EXPECT_EQ(ValueRange::full().bitwidth(), 64);
-}
 
 }  // namespace
 }  // namespace tadfa::dataflow

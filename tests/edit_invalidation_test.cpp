@@ -287,7 +287,6 @@ TEST_F(EditInvalidationTest, CorruptGraphRecordDegradesToFullRecompile) {
   ASSERT_TRUE(cache.ok());
   auto driver = edit_driver(&cache);
   ASSERT_TRUE(driver.compile(chain_module(), kSpec).ok);
-  cache.flush();
 
   const auto records = graph_record_files();
   ASSERT_EQ(records.size(), 1u);
@@ -331,7 +330,6 @@ TEST_F(EditInvalidationTest, TruncatedGraphRecordDegradesToFullRecompile) {
   pipeline::ResultCache cache(dir.string());
   ASSERT_TRUE(cache.ok());
   ASSERT_TRUE(edit_driver(&cache).compile(chain_module(), kSpec).ok);
-  cache.flush();
   const auto records = graph_record_files();
   ASSERT_EQ(records.size(), 1u);
   fs::resize_file(records[0], fs::file_size(records[0]) / 2);
@@ -349,7 +347,6 @@ TEST_F(EditInvalidationTest, AbsentGraphRecordIsAFirstCompileNotDegraded) {
   pipeline::ResultCache cache(dir.string());
   ASSERT_TRUE(cache.ok());
   ASSERT_TRUE(edit_driver(&cache).compile(chain_module(), kSpec).ok);
-  cache.flush();
   const auto records = graph_record_files();
   ASSERT_EQ(records.size(), 1u);
   fs::remove(records[0]);
@@ -441,7 +438,6 @@ TEST_F(EditInvalidationTest, ConcurrentEditResubmitsStayDeterministic) {
     expect_identical(results[w], reference);
   }
   // The rewritten graph must still be the single healthy record.
-  cache.flush();
   EXPECT_EQ(graph_record_files().size(), 1u);
   const auto after = edit_driver(&cache).compile(chain_module(9), kSpec);
   ASSERT_TRUE(after.ok);

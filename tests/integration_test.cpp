@@ -253,8 +253,9 @@ TEST(Integration, NonConvergenceDiagnosticMechanism) {
   // "reasonable number of iterations", it must say so rather than emit a
   // half-baked state — and relaxing δ must recover convergence on the
   // same program. (With our damping weighted-mean join, convergence is
-  // governed by δ and loop thermal mass rather than branch irregularity;
-  // EXPERIMENTS.md discusses this departure from the paper's intuition.)
+  // governed by δ and loop thermal mass rather than branch irregularity,
+  // a departure from the paper's intuition that the irregularity sweep in
+  // bench_accuracy_vs_simulation shows too.)
   Rig s;
   workload::RandomProgramConfig cfg;
   cfg.seed = 7;

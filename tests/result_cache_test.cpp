@@ -10,6 +10,7 @@
 // cold run at any job count.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -661,40 +662,60 @@ pipeline::StageEntry at_boundary(pipeline::StageEntry stage, std::size_t k) {
   return stage;
 }
 
-TEST_F(ResultCacheTest, IndexFlushIntervalControlsWhenTheIndexHitsDisk) {
+TEST_F(ResultCacheTest, HitRecencySurvivesAReopen) {
+  // The record files are the cache's only state, so LRU order outlives
+  // the process through their mtimes: a process that only reads still
+  // leaves its hits behind for the next process's evictor.
   pipeline::PassManager manager(context());
   const auto passes = *pipeline::parse_pipeline_spec(kSpec);
   const auto stage = capture_stage(manager, passes, /*boundary=*/3);
   const std::uint64_t input_fp =
       ir::fingerprint(workload::make_kernel("crc32")->func);
   const std::uint64_t ctx = pipeline::ResultCache::context_digest(context());
-  const fs::path index = dir / "index.txt";
+  auto record_file = [&](std::size_t k) {
+    const std::string text =
+        pipeline::ResultCache::make_stage_key(
+            input_fp, pipeline::spec_prefix_digest(passes, k), ctx)
+            .text();
+    return dir / text.substr(0, 2) / (text.substr(2) + ".entry");
+  };
 
+  std::uint64_t record_bytes = 0;
   {
-    // Default batching: a couple of stores stay below the interval, so
-    // nothing hits disk until an explicit flush().
     pipeline::ResultCache cache(dir.string());
     ASSERT_TRUE(cache.ok()) << cache.error();
-    for (std::size_t k = 1; k <= 2; ++k) {
+    for (std::size_t k = 1; k <= 3; ++k) {
       ASSERT_TRUE(
           cache.insert_stage(input_fp, passes, ctx, at_boundary(stage, k)));
     }
-    EXPECT_FALSE(fs::exists(index));
-    cache.flush();
-    EXPECT_TRUE(fs::exists(index));
+    ASSERT_EQ(cache.total_bytes() % 3, 0u);  // equal-sized records
+    record_bytes = cache.total_bytes() / 3;
   }
-  fs::remove_all(dir);
+  // Oldest to newest, hours apart, so the order cannot hinge on the
+  // filesystem's timestamp granularity.
+  const auto now = fs::file_time_type::clock::now();
+  for (std::size_t k = 1; k <= 3; ++k) {
+    fs::last_write_time(record_file(k),
+                        now - std::chrono::hours(4 - static_cast<int>(k)));
+  }
+  {
+    // A read-only process: it hits k = 1 and stores nothing.
+    pipeline::ResultCache cache(dir.string());
+    ASSERT_TRUE(cache.ok()) << cache.error();
+    ASSERT_TRUE(cache.lookup_stage(input_fp, passes, 1, ctx).has_value());
+    EXPECT_EQ(cache.stats().stage_stores, 0u);
+  }
 
-  // interval=1: every store persists the index — a long-lived process
-  // (tadfa serve) killed without running destructors loses nothing.
-  pipeline::ResultCache cache(
-      pipeline::ResultCache::Config{dir.string(), 0, 1});
+  pipeline::ResultCache cache(dir.string(), 3 * record_bytes);
   ASSERT_TRUE(cache.ok()) << cache.error();
   ASSERT_TRUE(
-      cache.insert_stage(input_fp, passes, ctx, at_boundary(stage, 1)));
-  EXPECT_TRUE(fs::exists(index));
-  const std::string rows = slurp(index);
-  EXPECT_NE(rows.find("tadfa-result-cache-index"), std::string::npos);
+      cache.insert_stage(input_fp, passes, ctx, at_boundary(stage, 4)));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  // The hit moved k = 1 past k = 2, which is now the least recent.
+  EXPECT_FALSE(fs::exists(record_file(2)));
+  EXPECT_TRUE(fs::exists(record_file(1)));
+  EXPECT_TRUE(fs::exists(record_file(3)));
+  EXPECT_TRUE(fs::exists(record_file(4)));
 }
 
 TEST_F(ResultCacheTest, StageEntriesParticipateInEviction) {

@@ -101,6 +101,25 @@ std::optional<T> parse_flag_int(const std::string& text, long long lo) {
   return static_cast<T>(n);
 }
 
+/// Parses a floating-point flag value, which must lie in [lo, hi]. The
+/// range test also rejects NaN and infinity, so no flag value can
+/// silently switch a check off or overflow a time conversion.
+std::optional<double> parse_flag_double(const std::string& text, double lo,
+                                        double hi) {
+  double v = 0;
+  if (!parse_double(text, v) || !(v >= lo && v <= hi)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// --delta is finite and > 0 (denorm_min is the least positive double).
+constexpr double kMinDelta = std::numeric_limits<double>::denorm_min();
+constexpr double kMaxDelta = std::numeric_limits<double>::max();
+/// Ceiling on every seconds-valued flag: it keeps each time_t and
+/// steady_clock conversion of the value in range.
+constexpr double kMaxFlagSeconds = 1e6;
+
 /// Whether every registered machine can build its thermal grid at this
 /// subdivision. serve builds machines lazily with the same subdivision,
 /// so the bound must hold for all of them, not only the selected one.
@@ -335,9 +354,11 @@ int run_compile(int argc, char** argv) {
         opt.args.push_back(n);
       }
     } else if (auto v = value("--delta=")) {
-      if (!parse_double(*v, opt.delta_k) || !(opt.delta_k > 0)) {
+      const auto delta = parse_flag_double(*v, kMinDelta, kMaxDelta);
+      if (!delta) {
         return usage(argv[0]);
       }
+      opt.delta_k = *delta;
     } else if (auto v = value("--max-iters=")) {
       const auto n = parse_flag_int<int>(*v, 1);
       if (!n) {
@@ -844,10 +865,11 @@ int run_serve(const char* argv0, int argc, char** argv) {
       }
       cfg.max_queue = static_cast<std::size_t>(n);
     } else if (auto v = value("--io-timeout=")) {
-      if (!parse_double(*v, cfg.io_timeout_seconds) ||
-          cfg.io_timeout_seconds < 0) {
+      const auto seconds = parse_flag_double(*v, 0, kMaxFlagSeconds);
+      if (!seconds) {
         return serve_usage(argv0);
       }
+      cfg.io_timeout_seconds = *seconds;
     } else if (auto v = value("--metrics-json=")) {
       metrics_json_path = *v;
     } else if (auto v = value("--pipeline=")) {
@@ -875,13 +897,17 @@ int run_serve(const char* argv0, int argc, char** argv) {
       }
       cfg.jobs = *jobs;
     } else if (auto v = value("--metrics-every=")) {
-      if (!parse_double(*v, metrics_every) || metrics_every < 0) {
+      const auto seconds = parse_flag_double(*v, 0, kMaxFlagSeconds);
+      if (!seconds) {
         return serve_usage(argv0);
       }
+      metrics_every = *seconds;
     } else if (auto v = value("--delta=")) {
-      if (!parse_double(*v, delta_k) || !(delta_k > 0)) {
+      const auto delta = parse_flag_double(*v, kMinDelta, kMaxDelta);
+      if (!delta) {
         return serve_usage(argv0);
       }
+      delta_k = *delta;
     } else if (auto v = value("--max-iters=")) {
       const auto iters = parse_flag_int<int>(*v, 1);
       if (!iters) {
@@ -1073,9 +1099,11 @@ int run_client(const char* argv0, int argc, char** argv) {
         return client_usage(argv0);
       }
     } else if (auto v = value("--busy-timeout=")) {
-      if (!parse_double(*v, busy_timeout) || busy_timeout < 0) {
+      const auto seconds = parse_flag_double(*v, 0, kMaxFlagSeconds);
+      if (!seconds) {
         return client_usage(argv0);
       }
+      busy_timeout = *seconds;
     } else if (auto v = value("--pipeline=")) {
       request.spec = *v;
     } else if (auto v = value("--frontend=")) {
@@ -1087,14 +1115,17 @@ int run_client(const char* argv0, int argc, char** argv) {
     } else if (arg == "--no-analysis-cache") {
       request.analysis_cache = false;
     } else if (auto v = value("--min-hit-rate=")) {
-      if (!parse_double(*v, min_hit_rate) || min_hit_rate < 0 ||
-          min_hit_rate > 1) {
+      const auto rate = parse_flag_double(*v, 0, 1);
+      if (!rate) {
         return client_usage(argv0);
       }
+      min_hit_rate = *rate;
     } else if (auto v = value("--connect-timeout=")) {
-      if (!parse_double(*v, connect_timeout) || connect_timeout < 0) {
+      const auto seconds = parse_flag_double(*v, 0, kMaxFlagSeconds);
+      if (!seconds) {
         return client_usage(argv0);
       }
+      connect_timeout = *seconds;
     } else if (arg == "--print-ir") {
       print_ir = true;
     } else if (arg == "--edit-aware") {
@@ -1154,19 +1185,13 @@ int run_client(const char* argv0, int argc, char** argv) {
   }
 
   std::string error;
-  auto dial = [&]() -> int {
-    if (tcp.has_value()) {
-      return connect_timeout > 0
-                 ? service::connect_tcp_retry(tcp->host, tcp->port,
-                                              connect_timeout, &error)
-                 : service::connect_tcp(tcp->host, tcp->port, &error);
-    }
-    return connect_timeout > 0
-               ? service::connect_unix_retry(socket_path, connect_timeout,
-                                             &error)
-               : service::connect_unix(socket_path, &error);
-  };
-  int fd = dial();
+  int fd = service::connect_with_retry(
+      [&] {
+        return tcp.has_value()
+                   ? service::connect_tcp(tcp->host, tcp->port, &error)
+                   : service::connect_unix(socket_path, &error);
+      },
+      connect_timeout);
   if (fd < 0) {
     std::cerr << "tadfa client: " << error << "\n";
     return 1;
