@@ -52,12 +52,12 @@ void BM_ThermalStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalStep)->Arg(1)->Arg(2)->Arg(4);
 
-// --- ThermalGrid::step: edge-checked reference vs. flat neighbor tables ------
+// --- ThermalGrid::step: edge-checked reference vs. the fused pass ------------
 // step() used to walk nested row/col loops with four boundary branches
-// per node; the grid now precomputes slot-major neighbor-index and
-// conductance planes and runs branch-free loops. This reference
-// reproduces the old inner loop (same math, same constants) so the pair
-// measures exactly the hot-path rewrite.
+// per node; the grid now runs one branch-free pass per substep between
+// two padded temperature planes, with zero-conductance links in place of
+// the branches. This reference reproduces the old inner loop (same math,
+// same constants) so the pair measures exactly the hot-path rewrite.
 
 struct ReferenceStepper {
   const machine::Floorplan* fp;

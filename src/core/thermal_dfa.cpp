@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 
 #include "pipeline/analysis_manager.hpp"
 #include "support/assert.hpp"
@@ -12,12 +13,13 @@ namespace {
 
 /// Per-register power (W) of one instruction execution: access energies
 /// spread over the instruction's latency, distributed over cells according
-/// to the access model.
-std::vector<double> instruction_power(
-    const ir::Instruction& inst, const AccessDistributionModel& model,
-    const machine::TimingModel& timing,
-    const machine::TechnologyParams& tech, std::uint32_t n_phys) {
-  std::vector<double> p(n_phys, 0.0);
+/// to the access model. Accumulates into `p`, which starts at zero.
+void instruction_power(const ir::Instruction& inst,
+                       const AccessDistributionModel& model,
+                       const machine::TimingModel& timing,
+                       const machine::TechnologyParams& tech,
+                       std::span<double> p) {
+  const std::size_t n_phys = p.size();
   const double window_s =
       static_cast<double>(timing.cycles(inst)) * tech.cycle_seconds();
 
@@ -25,7 +27,7 @@ std::vector<double> instruction_power(
     const std::vector<double>& dist = model.distribution(v);
     TADFA_ASSERT(dist.size() == n_phys);
     const double watts = energy / window_s;
-    for (std::uint32_t r = 0; r < n_phys; ++r) {
+    for (std::size_t r = 0; r < n_phys; ++r) {
       if (dist[r] != 0.0) {
         p[r] += watts * dist[r];
       }
@@ -38,7 +40,6 @@ std::vector<double> instruction_power(
   if (auto d = inst.def()) {
     add(*d, tech.write_energy_j);
   }
-  return p;
 }
 
 }  // namespace
@@ -83,27 +84,51 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
 
   ThermalDfaResult result;
 
-  // State storage. out_state[b] = thermal state at block exit, as of the
-  // latest iteration. prev_instr_temps = last iteration's per-instruction
-  // register temps, for the δ test of Fig. 2.
-  std::vector<thermal::ThermalState> out_state(func.block_count(),
-                                               grid_->initial_state());
+  // Dense per-instruction rows (function order, n_phys wide). Each
+  // instruction's dynamic power and window length never change between
+  // iterations, so they are computed once. Unreachable blocks are never
+  // visited and keep zero rows.
   const std::vector<ir::InstrRef> all_refs = func.all_instructions();
-  std::vector<std::vector<double>> prev_instr_temps(
-      all_refs.size(), std::vector<double>(n_phys, grid_->substrate_temp()));
-  std::vector<std::vector<double>> cur_instr_temps = prev_instr_temps;
-
-  // Map InstrRef -> dense index into the vectors above.
+  const std::size_t n_instr = all_refs.size();
+  const double cycle_s = tech.cycle_seconds();
   std::vector<std::size_t> block_first(func.block_count(), 0);
+  std::vector<double> dyn_power(n_instr * n_phys, 0.0);
+  std::vector<double> window_s(n_instr, 0.0);
   {
     std::size_t idx = 0;
     for (const ir::BasicBlock& b : func.blocks()) {
       block_first[b.id()] = idx;
-      idx += b.size();
+      // Frequency scaling: an instruction executes ~block_freq times per
+      // program run; model those executions as one contiguous window
+      // (same average power, frequency-scaled duration).
+      const double block_freq = std::max(freq[b.id()], 1e-12);
+      for (const ir::Instruction& inst : b.instructions()) {
+        if (cfg.reachable(b.id())) {
+          instruction_power(inst, model, timing_, tech,
+                            {&dyn_power[idx * n_phys], n_phys});
+          window_s[idx] = static_cast<double>(timing_.cycles(inst)) *
+                          cycle_s * block_freq;
+        }
+        ++idx;
+      }
     }
   }
 
-  const double cycle_s = tech.cycle_seconds();
+  // out_state[b] = thermal state at block exit, as of the latest
+  // iteration. prev_temps = last iteration's per-instruction register
+  // temps, for the δ test of Fig. 2; cur_temps = this iteration's.
+  std::vector<thermal::ThermalState> out_state(func.block_count(),
+                                               grid_->initial_state());
+  std::vector<double> prev_temps(n_instr * n_phys, grid_->substrate_temp());
+  std::vector<double> cur_temps = prev_temps;
+
+  // Scratch reused by every transfer. reg_temps points at the register
+  // temperatures of `state`: the leakage input of the next instruction.
+  thermal::ThermalState state;
+  std::vector<double> weights;
+  std::vector<double> entry_temps(n_phys);
+  std::vector<double> leak(n_phys);
+  std::vector<double> power(n_phys);
 
   // --- Fig. 2 main loop ------------------------------------------------------
   // Do { stop = true; for each block, for each instruction in forward
@@ -124,7 +149,7 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       // expected temperature over incoming paths). The entry block also
       // folds in the boundary (machine at substrate temperature) with unit
       // weight, which covers the self-loop-into-entry corner case.
-      thermal::ThermalState state = grid_->initial_state();
+      state.node_temps.assign(grid_->node_count(), grid_->substrate_temp());
       const auto& preds = cfg.predecessors(b);
       const bool include_boundary = b == func.entry();
       if (!preds.empty() || include_boundary) {
@@ -133,7 +158,7 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
           case JoinMode::kWeightedMean:
           case JoinMode::kUnweightedMean: {
             double weight_sum = include_boundary ? 1.0 : 0.0;
-            std::vector<double> weights(preds.size(), 1.0);
+            weights.assign(preds.size(), 1.0);
             for (std::size_t pi = 0; pi < preds.size(); ++pi) {
               if (config_.join_mode == JoinMode::kWeightedMean) {
                 weights[pi] = std::max(freq[preds[pi]], 1e-12);
@@ -167,55 +192,53 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       }
 
       // Transfer through the block, instruction by instruction.
-      const ir::BasicBlock& block = func.block(b);
-      const double block_freq = std::max(freq[b], 1e-12);
-      for (std::uint32_t i = 0; i < block.size(); ++i) {
-        const ir::Instruction& inst = block.instructions()[i];
-        std::vector<double> p =
-            instruction_power(inst, model, timing_, tech, n_phys);
+      const double* reg_temps = entry_temps.data();
+      if (config_.include_leakage) {
+        grid_->register_temps(state, entry_temps);
+      }
+      const std::size_t end = block_first[b] + func.block(b).size();
+      for (std::size_t dense = block_first[b]; dense < end; ++dense) {
+        std::span<const double> p(&dyn_power[dense * n_phys], n_phys);
         if (config_.include_leakage) {
-          const auto temps = grid_->register_temps(state);
-          const auto leak = power_->leakage_power(fp, temps);
+          power_->leakage_power(fp, {reg_temps, n_phys}, leak);
           for (std::uint32_t r = 0; r < n_phys; ++r) {
-            p[r] += leak[r];
+            power[r] = p[r] + leak[r];
           }
+          p = power;
         }
-        // Frequency scaling: this instruction executes ~block_freq times
-        // per program run; model those executions as one contiguous
-        // window (same average power, frequency-scaled duration).
-        const double dt = static_cast<double>(timing_.cycles(inst)) *
-                          cycle_s * block_freq;
-        grid_->step(state, p, dt);
+        grid_->step(state, p, window_s[dense]);
 
         // δ test against the previous iteration's state after I.
-        const std::size_t dense = block_first[b] + i;
-        cur_instr_temps[dense] = grid_->register_temps(state);
+        double* cur = &cur_temps[dense * n_phys];
+        const double* prev = &prev_temps[dense * n_phys];
+        grid_->register_temps(state, {cur, n_phys});
         double change = 0.0;
         for (std::uint32_t r = 0; r < n_phys; ++r) {
-          change = std::max(change,
-                            std::abs(cur_instr_temps[dense][r] -
-                                     prev_instr_temps[dense][r]));
+          change = std::max(change, std::abs(cur[r] - prev[r]));
         }
         iteration_delta = std::max(iteration_delta, change);
         if (change > config_.delta_k) {
           stop = false;
         }
+        reg_temps = cur;
       }
-      out_state[b] = std::move(state);
+      std::swap(out_state[b], state);
     }
 
     result.delta_history_k.push_back(iteration_delta);
     result.final_delta_k = iteration_delta;
-    std::swap(prev_instr_temps, cur_instr_temps);
+    std::swap(prev_temps, cur_temps);
   }
   result.converged = stop;
 
   // --- Outputs ----------------------------------------------------------------
-  result.per_instruction.reserve(all_refs.size());
-  for (std::size_t i = 0; i < all_refs.size(); ++i) {
+  result.per_instruction.reserve(n_instr);
+  for (std::size_t i = 0; i < n_instr; ++i) {
     InstructionThermal it;
     it.ref = all_refs[i];
-    it.reg_temps_k = prev_instr_temps[i];  // final iteration (post-swap)
+    // Final iteration (post-swap).
+    it.reg_temps_k.assign(prev_temps.begin() + i * n_phys,
+                          prev_temps.begin() + (i + 1) * n_phys);
     it.peak_k = it.reg_temps_k.empty()
                     ? grid_->substrate_temp()
                     : *std::max_element(it.reg_temps_k.begin(),

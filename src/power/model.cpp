@@ -26,17 +26,27 @@ std::vector<double> PowerModel::dynamic_power(
 std::vector<double> PowerModel::leakage_power(
     const machine::Floorplan& floorplan, std::span<const double> temps_k,
     const std::vector<bool>& gated_banks) const {
+  std::vector<double> out(temps_k.size());
+  leakage_power(floorplan, temps_k, out, gated_banks);
+  return out;
+}
+
+void PowerModel::leakage_power(const machine::Floorplan& floorplan,
+                               std::span<const double> temps_k,
+                               std::span<double> out,
+                               const std::vector<bool>& gated_banks) const {
   TADFA_ASSERT(temps_k.size() == floorplan.num_registers());
-  std::vector<double> out(temps_k.size(), 0.0);
+  TADFA_ASSERT(out.size() == temps_k.size());
   for (machine::PhysReg r = 0; r < temps_k.size(); ++r) {
     double p = config_.tech.leakage_at(temps_k[r]);
-    const std::uint32_t bank = floorplan.bank_of(r);
-    if (bank < gated_banks.size() && gated_banks[bank]) {
-      p *= gated_leakage_fraction;
+    if (!gated_banks.empty()) {
+      const std::uint32_t bank = floorplan.bank_of(r);
+      if (bank < gated_banks.size() && gated_banks[bank]) {
+        p *= gated_leakage_fraction;
+      }
     }
     out[r] = p;
   }
-  return out;
 }
 
 double PowerModel::trace_energy(const AccessTrace& trace, double temp_k,

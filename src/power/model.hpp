@@ -36,6 +36,10 @@ class PowerModel {
   std::vector<double> leakage_power(
       const machine::Floorplan& floorplan, std::span<const double> temps_k,
       const std::vector<bool>& gated_banks = {}) const;
+  /// The same, written into `out` (one entry per register).
+  void leakage_power(const machine::Floorplan& floorplan,
+                     std::span<const double> temps_k, std::span<double> out,
+                     const std::vector<bool>& gated_banks = {}) const;
 
   /// Residual leakage fraction of a gated bank (state-retentive sleep).
   static constexpr double gated_leakage_fraction = 0.05;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "support/assert.hpp"
@@ -61,49 +63,41 @@ ThermalGrid::ThermalGrid(const machine::Floorplan& floorplan,
   const double g_max = g_node + 2 * g_lateral_h_ + 2 * g_lateral_v_;
   stable_dt_ = 0.9 * c_node / g_max;
 
-  // Slot-major neighbor planes for the transient hot loop: slot order
-  // W/E/N/S, missing neighbors self-linked with zero conductance.
+  // Link conductance planes for the transient hot loop: slot order
+  // W/E/N/S, zero conductance where the neighbor is missing.
   nbr_g_.assign(4 * n, 0.0);
-  nbr_idx_.assign(4 * n, 0);
-  auto link = [&](std::size_t slot, std::size_t i, bool present,
-                  std::size_t j, double g) {
-    nbr_idx_[slot * n + i] = static_cast<std::int32_t>(present ? j : i);
-    nbr_g_[slot * n + i] = present ? g : 0.0;
-  };
   for (std::size_t row = 0; row < node_rows_; ++row) {
     for (std::size_t col = 0; col < node_cols_; ++col) {
       const std::size_t i = node_index(row, col);
-      link(0, i, col > 0, i - 1, g_lateral_h_);
-      link(1, i, col + 1 < node_cols_, i + 1, g_lateral_h_);
-      link(2, i, row > 0, i - node_cols_, g_lateral_v_);
-      link(3, i, row + 1 < node_rows_, i + node_cols_, g_lateral_v_);
+      nbr_g_[0 * n + i] = col > 0 ? g_lateral_h_ : 0.0;
+      nbr_g_[1 * n + i] = col + 1 < node_cols_ ? g_lateral_h_ : 0.0;
+      nbr_g_[2 * n + i] = row > 0 ? g_lateral_v_ : 0.0;
+      nbr_g_[3 * n + i] = row + 1 < node_rows_ ? g_lateral_v_ : 0.0;
     }
   }
 
   // Register <-> node maps.
-  cell_nodes_.assign(cfg.num_registers, {});
+  cell_nodes_.reserve(n);
   node_owner_.assign(n, 0);
   for (machine::PhysReg r = 0; r < cfg.num_registers; ++r) {
     const std::size_t base_row =
         static_cast<std::size_t>(floorplan.row_of(r)) * subdivision;
     const std::size_t base_col =
         static_cast<std::size_t>(floorplan.col_of(r)) * subdivision;
-    auto& nodes = cell_nodes_[r];
-    nodes.reserve(static_cast<std::size_t>(subdivision) * subdivision);
     for (unsigned dr = 0; dr < subdivision; ++dr) {
       for (unsigned dc = 0; dc < subdivision; ++dc) {
         const std::size_t idx = node_index(base_row + dr, base_col + dc);
-        nodes.push_back(idx);
+        cell_nodes_.push_back(idx);
         node_owner_[idx] = r;
       }
     }
   }
 }
 
-const std::vector<std::size_t>& ThermalGrid::nodes_of(
-    machine::PhysReg r) const {
-  TADFA_ASSERT(r < cell_nodes_.size());
-  return cell_nodes_[r];
+std::span<const std::size_t> ThermalGrid::nodes_of(machine::PhysReg r) const {
+  TADFA_ASSERT(r < floorplan_->num_registers());
+  const std::size_t per_cell = std::size_t{subdivision_} * subdivision_;
+  return {cell_nodes_.data() + r * per_cell, per_cell};
 }
 
 machine::PhysReg ThermalGrid::register_of(std::size_t node) const {
@@ -119,42 +113,11 @@ ThermalState ThermalGrid::initial_state() const {
 
 void ThermalGrid::spread_power(std::span<const double> reg_power_w,
                                std::vector<double>& p) const {
-  p.assign(node_count(), 0.0);
+  // Each node has exactly one owner, so its power is that cell's share.
   const double per_node = 1.0 / (subdivision_ * subdivision_);
-  for (machine::PhysReg r = 0; r < reg_power_w.size(); ++r) {
-    const double share = reg_power_w[r] * per_node;
-    for (std::size_t idx : cell_nodes_[r]) {
-      p[idx] += share;
-    }
-  }
-}
-
-void ThermalGrid::substep(double* t, const double* p, double* flux,
-                          double h) const {
-  // The per-node operation order is the original scalar loop's
-  // (p + g_v·(T_sub − t), then the W/E/N/S links in turn), only unrolled
-  // across slot planes, so results match it bit-for-bit wherever the
-  // compiler does not contract into FMA (x86-64 baseline codegen has no
-  // FMA).
-  const std::size_t n = node_count();
-  const double* gv = g_vertical_.data();
-  const double* cap = cap_.data();
-  const double ts = substrate_temp_;
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    flux[i] = p[i] + gv[i] * (ts - t[i]);
-  }
-  for (std::size_t s = 0; s < 4; ++s) {
-    const double* g = nbr_g_.data() + s * n;
-    const std::int32_t* idx = nbr_idx_.data() + s * n;
-#pragma omp simd
-    for (std::size_t i = 0; i < n; ++i) {
-      flux[i] += g[i] * (t[idx[i]] - t[i]);
-    }
-  }
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    t[i] += h * flux[i] / cap[i];
+  p.resize(node_count());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p[i] = reg_power_w[node_owner_[i]] * per_node;
   }
 }
 
@@ -167,22 +130,75 @@ void ThermalGrid::step(ThermalState& state,
     return;
   }
 
-  // Spread per-register power uniformly over the cell's nodes. The
-  // scratch is thread_local — the DFA calls step() once per instruction
-  // per iteration, and per-call mallocs both cost time and serialize the
+  // The substep ratio stays in double until it is known to fit an int. A
+  // longer window (dt = +inf arises once a loop nest's frequency scaling
+  // overflows) runs at the stability limit and ends at the fixed point
+  // below, long before the cap.
+  constexpr int kMaxSubsteps = std::numeric_limits<int>::max();
+  const double ratio = std::ceil(dt / stable_dt_);
+  int substeps = kMaxSubsteps;
+  double h = stable_dt_;
+  if (ratio <= kMaxSubsteps) {
+    substeps = std::max(1, static_cast<int>(ratio));
+    h = dt / substeps;
+  }
+
+  // Two temperature planes laid out [pad][t][pad][next][pad], each pad
+  // node_cols_ finite values, so every node's W/E/N/S reads stay in
+  // bounds (see nbr_g_). Only the pads need filling per call. The scratch
+  // is thread_local — the DFA calls step() once per instruction per
+  // iteration, and per-call mallocs both cost time and serialize the
   // driver's worker pool on the allocator.
   thread_local std::vector<double> p;
-  thread_local std::vector<double> flux;
+  thread_local std::vector<double> planes;
   spread_power(reg_power_w, p);
-  flux.resize(node_count());
+  const std::size_t n = node_count();
+  const std::size_t pad = node_cols_;
+  planes.resize(2 * n + 3 * pad);
+  double* t = planes.data() + pad;
+  double* next = t + n + pad;
+  std::fill_n(planes.data(), pad, substrate_temp_);
+  std::fill_n(t + n, pad, substrate_temp_);
+  std::fill_n(next + n, pad, substrate_temp_);
+  std::copy(state.node_temps.begin(), state.node_temps.end(), t);
 
-  const int substeps =
-      std::max(1, static_cast<int>(std::ceil(dt / stable_dt_)));
-  const double h = dt / substeps;
-
+  // Every substep applies the same map (same p, same h), so one that
+  // leaves every node's bits unchanged has reached the fixed point and
+  // the rest would change nothing. Checking every 64th substep keeps the
+  // compare off short windows.
+  constexpr int kFixedPointCheck = 64;
+  const double* pw = p.data();
+  const double* gv = g_vertical_.data();
+  const double* gw = nbr_g_.data();
+  const double* ge = gw + n;
+  const double* gn = ge + n;
+  const double* gs = gn + n;
+  const double* cap = cap_.data();
+  const double ts = substrate_temp_;
+  const auto nodes = static_cast<std::ptrdiff_t>(n);
+  const auto row = static_cast<std::ptrdiff_t>(node_cols_);
   for (int s = 0; s < substeps; ++s) {
-    substep(state.node_temps.data(), p.data(), flux.data(), h);
+    // The original scalar loop's per-node order: p + g_v·(T_sub − t), then
+    // the W/E/N/S links in turn. Results match it bit-for-bit wherever
+    // the compiler does not contract into FMA (x86-64 baseline codegen
+    // has no FMA).
+#pragma omp simd
+    for (std::ptrdiff_t i = 0; i < nodes; ++i) {
+      const double ti = t[i];
+      double flux = pw[i] + gv[i] * (ts - ti);
+      flux += gw[i] * (t[i - 1] - ti);
+      flux += ge[i] * (t[i + 1] - ti);
+      flux += gn[i] * (t[i - row] - ti);
+      flux += gs[i] * (t[i + row] - ti);
+      next[i] = ti + h * flux / cap[i];
+    }
+    std::swap(t, next);
+    if ((s + 1) % kFixedPointCheck == 0 && s + 1 < substeps &&
+        std::memcmp(t, next, n * sizeof(double)) == 0) {
+      break;
+    }
   }
+  std::copy_n(t, n, state.node_temps.begin());
 }
 
 ThermalState ThermalGrid::steady_state(std::span<const double> reg_power_w,
@@ -235,16 +251,24 @@ ThermalState ThermalGrid::steady_state(std::span<const double> reg_power_w,
 
 std::vector<double> ThermalGrid::register_temps(
     const ThermalState& state) const {
-  TADFA_ASSERT(state.node_temps.size() == node_count());
-  std::vector<double> out(floorplan_->num_registers(), 0.0);
-  for (machine::PhysReg r = 0; r < out.size(); ++r) {
-    double sum = 0.0;
-    for (std::size_t idx : cell_nodes_[r]) {
-      sum += state.node_temps[idx];
-    }
-    out[r] = sum / static_cast<double>(cell_nodes_[r].size());
-  }
+  std::vector<double> out(floorplan_->num_registers());
+  register_temps(state, out);
   return out;
+}
+
+void ThermalGrid::register_temps(const ThermalState& state,
+                                 std::span<double> out) const {
+  TADFA_ASSERT(state.node_temps.size() == node_count());
+  TADFA_ASSERT(out.size() == floorplan_->num_registers());
+  const double* t = state.node_temps.data();
+  const std::size_t per_cell = std::size_t{subdivision_} * subdivision_;
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    double sum = 0.0;
+    for (std::size_t j = r * per_cell; j < (r + 1) * per_cell; ++j) {
+      sum += t[cell_nodes_[j]];
+    }
+    out[r] = sum / static_cast<double>(per_cell);
+  }
 }
 
 double ThermalGrid::stored_energy(const ThermalState& state) const {

@@ -14,11 +14,13 @@
 // The model is linear; leakage's temperature dependence is closed by the
 // caller (power model) between steps.
 //
-// One transient kernel: explicit Euler over structure-of-arrays neighbor
-// tables under `#pragma omp simd`, with the same per-node operation order
-// as the original scalar loop, so its results are bit-identical to it.
-// steady_state() is full-sweep Gauss-Seidel, kept as the transient step's
-// oracle.
+// One transient kernel: explicit Euler, one fused `#pragma omp simd` pass
+// per substep from one padded temperature plane into another. Each node's
+// operations run in the original scalar loop's order, so its results are
+// bit-identical to that loop. Every substep of a window applies the same
+// map, so a window ends early once a substep leaves every node bit-for-bit
+// unchanged. steady_state() is full-sweep Gauss-Seidel, kept as the
+// transient step's oracle.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +45,9 @@ class ThermalGrid {
   /// subdivision²). Must satisfy supports().
   ThermalGrid(const machine::Floorplan& floorplan, unsigned subdivision = 1);
 
-  /// Whether a grid over `rf` at `subdivision` can be built: the step
-  /// kernel addresses neighbors through int32 index planes, so the node
-  /// count must fit in an int32.
+  /// Whether a grid over `rf` at `subdivision` can be built: the node
+  /// count must fit in an int32. That bound is the `--subdivision` limit
+  /// the CLI and server validate.
   static bool supports(const machine::RegisterFileConfig& rf,
                        std::uint64_t subdivision);
 
@@ -54,7 +56,7 @@ class ThermalGrid {
   std::size_t node_count() const { return cap_.size(); }
 
   /// Node indices covering a register's cell.
-  const std::vector<std::size_t>& nodes_of(machine::PhysReg r) const;
+  std::span<const std::size_t> nodes_of(machine::PhysReg r) const;
 
   /// Register whose cell contains this node.
   machine::PhysReg register_of(std::size_t node) const;
@@ -65,6 +67,8 @@ class ThermalGrid {
   /// Advances the transient solution by `dt` seconds with per-register
   /// power `reg_power_w` (watts, spread uniformly over each cell's nodes).
   /// Internally substeps to respect the explicit-Euler stability limit.
+  /// A window longer than INT_MAX substeps, or `dt` = +inf, runs at
+  /// max_stable_dt() until Euler's fixed point (the steady state).
   void step(ThermalState& state, std::span<const double> reg_power_w,
             double dt) const;
 
@@ -78,6 +82,8 @@ class ThermalGrid {
 
   /// Per-register temperatures: average of each cell's nodes.
   std::vector<double> register_temps(const ThermalState& state) const;
+  /// The same, written into `out` (one entry per register).
+  void register_temps(const ThermalState& state, std::span<double> out) const;
 
   /// Sum over nodes of C·(T - substrate): stored thermal energy relative
   /// to the substrate (J). Used by conservation tests.
@@ -96,10 +102,6 @@ class ThermalGrid {
     return row * node_cols_ + col;
   }
 
-  /// One explicit-Euler substep of length `h`, updating `t` in place.
-  /// `p` is per-node power, `flux` is caller scratch.
-  void substep(double* t, const double* p, double* flux, double h) const;
-
   /// Spreads per-register watts uniformly over each cell's nodes into
   /// `p` (resized to node_count()).
   void spread_power(std::span<const double> reg_power_w,
@@ -117,15 +119,17 @@ class ThermalGrid {
   double g_lateral_v_ = 0;               // north-south neighbor link (W/K)
   double stable_dt_ = 0;
 
-  // Neighbor tables for step()'s inner loop: 4 slots per node in fixed
-  // W/E/N/S order, stored slot-major (slot s's plane starts at s·n) so
-  // each slot's flux accumulation streams contiguously. Absent neighbors
-  // point at the node itself with conductance 0, so the loop is
-  // branch-free and still bit-identical to the edge-checked form.
-  std::vector<double> nbr_g_;          // 4 planes (W/K; 0 = no link)
-  std::vector<std::int32_t> nbr_idx_;  // 4 planes
+  // Link conductances for step()'s loop: 4 planes in fixed W/E/N/S order
+  // (slot s's plane starts at s·n). step() reads every node's four
+  // neighbors at t[i±1] and t[i±node_cols_]; at an edge that read lands
+  // on the next row or a pad of finite values, and the absent link's
+  // conductance 0 turns it into an exact +0 or −0, which leaves the
+  // running flux (never −0) unchanged. So the loop is branch-free and
+  // still bit-identical to the edge-checked form.
+  std::vector<double> nbr_g_;  // 4 planes (W/K; 0 = no link)
 
-  std::vector<std::vector<std::size_t>> cell_nodes_;  // per register
+  // Each register's subdivision² node indices, register-major.
+  std::vector<std::size_t> cell_nodes_;
   std::vector<machine::PhysReg> node_owner_;
 };
 

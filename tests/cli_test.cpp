@@ -20,28 +20,36 @@ namespace {
 struct RunResult {
   bool exited = false;  // normal exit, not a signal
   int status = -1;
+  std::string stdout_text;
   std::string stderr_text;
 };
+
+std::string read_and_remove(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  in.close();
+  std::filesystem::remove(path);
+  return buffer.str();
+}
 
 RunResult run_cli(const std::string& args) {
 #ifndef TADFA_CLI_PATH
   ADD_FAILURE() << "TADFA_CLI_PATH not defined";
   return {};
 #else
-  const auto err_path = std::filesystem::temp_directory_path() /
-                        ("tadfa-cli-test-" + std::to_string(::getpid()) +
-                         ".stderr");
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("tadfa-cli-test-" + std::to_string(::getpid()));
+  const auto out_path = base.string() + ".stdout";
+  const auto err_path = base.string() + ".stderr";
   const std::string command = std::string(TADFA_CLI_PATH) + " " + args +
-                              " >/dev/null 2>" + err_path.string();
+                              " >" + out_path + " 2>" + err_path;
   const int raw = std::system(command.c_str());
   RunResult result;
   result.exited = WIFEXITED(raw);
   result.status = result.exited ? WEXITSTATUS(raw) : -1;
-  std::ifstream in(err_path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  result.stderr_text = buffer.str();
-  std::filesystem::remove(err_path);
+  result.stdout_text = read_and_remove(out_path);
+  result.stderr_text = read_and_remove(err_path);
   return result;
 #endif
 }
@@ -143,6 +151,48 @@ TEST(CliTest, KernelsFrontendKeepsKernelArguments) {
   const RunResult r = run_cli("--frontend=kernels crc32 --no-map");
   ASSERT_TRUE(r.exited) << "CLI died of a signal";
   EXPECT_EQ(r.status, 0) << r.stderr_text;
+}
+
+TEST(CliTest, TwelveDeepNestCompiles) {
+  // Frequency scaling makes the innermost window of a 12-deep nest
+  // trip_count_guess^12 instruction times long: ~1e10 Euler substeps,
+  // more than an int counts. The DFA must still finish and converge, each
+  // such window running only to Euler's fixed point.
+  const int depth = 12;
+  std::string src = "fn deep(n) {\n  let acc = 0;\n";
+  for (int l = 0; l < depth; ++l) {
+    src += "  let i" + std::to_string(l) + " = 0;\n";
+  }
+  std::string indent = "  ";
+  for (int l = 0; l < depth; ++l) {
+    const std::string i = "i" + std::to_string(l);
+    src += indent + i + " = 0;\n" + indent + "while (" + i + " < n) {\n";
+    indent += "  ";
+  }
+  src += indent + "acc = acc + i0 * i11 + 1;\n";
+  for (int l = depth - 1; l >= 0; --l) {
+    const std::string i = "i" + std::to_string(l);
+    src += indent + i + " = " + i + " + 1;\n";
+    indent.resize(indent.size() - 2);
+    src += indent + "}\n";
+  }
+  src += "  return acc;\n}\n";
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tadfa-cli-test-" + std::to_string(::getpid()) +
+                     "-deep.texpr");
+  std::ofstream(path) << src;
+  const RunResult r = run_cli("--no-map " + path.string() + " --args=3");
+  std::filesystem::remove(path);
+  ASSERT_TRUE(r.exited) << "CLI died of a signal";
+  EXPECT_EQ(r.status, 0) << r.stderr_text;
+  std::istringstream lines(r.stdout_text);
+  std::string row;
+  while (std::getline(lines, row) &&
+         row.find("| thermal-dfa ") == std::string::npos) {
+  }
+  // The summary reads "N iters, converged" or "N iters, NOT converged".
+  EXPECT_NE(row.find(" iters, converged"), std::string::npos)
+      << r.stdout_text;
 }
 
 TEST(CliTest, ServeRejectsBadThermalFlagsBeforeBinding) {

@@ -5,16 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
+#include <span>
+#include <string>
 
 #include "core/access_model.hpp"
 #include "ir/builder.hpp"
 #include "core/critical.hpp"
 #include "core/thermal_dfa.hpp"
 #include "dataflow/liveness.hpp"
+#include "frontend/frontend.hpp"
+#include "machine/machine_config.hpp"
+#include "pipeline/analysis_manager.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "regalloc/policy.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/thermal_replay.hpp"
+#include "support/serialize.hpp"
 #include "support/statistics.hpp"
 #include "workload/kernels.hpp"
 #include "workload/random_program.hpp"
@@ -432,6 +440,325 @@ TEST(JoinModes, StraightLineCodeIsJoinInsensitive) {
       EXPECT_NEAR(maps[i][r], maps[0][r], 1e-9);
     }
   }
+}
+
+}  // namespace
+}  // namespace tadfa::core
+
+// Appended: the analysis against a plain copy of its own loop.
+namespace tadfa::core {
+namespace {
+
+// Fig. 2 written the plain way: fresh vectors every transfer, and only
+// the public register_temps / leakage_power / step. analyze() hoists and
+// reuses all of that; not one output bit may move.
+ThermalDfaResult reference_analyze(
+    const ThermalDfa& dfa, const ir::Function& func,
+    const AccessDistributionModel& model,
+    const std::optional<std::vector<double>>& profile) {
+  const thermal::ThermalGrid& grid = dfa.grid();
+  const machine::Floorplan& fp = grid.floorplan();
+  const machine::TechnologyParams& tech = fp.config().tech;
+  const ThermalDfaConfig& config = dfa.config();
+  const std::uint32_t n_phys = fp.num_registers();
+
+  pipeline::AnalysisManager am;
+  const dataflow::Cfg& cfg = am.get<dataflow::Cfg>(func);
+  std::vector<double> freq;
+  if (profile) {
+    freq = *profile;
+    const double entry_count = std::max(freq[func.entry()], 1.0);
+    for (double& f : freq) {
+      f = std::max(f / entry_count, 0.0);
+    }
+  } else {
+    freq = pipeline::block_frequencies(am, func, config.trip_count_guess);
+  }
+
+  auto instruction_power = [&](const ir::Instruction& inst) {
+    std::vector<double> p(n_phys, 0.0);
+    const double window_s =
+        static_cast<double>(dfa.timing().cycles(inst)) * tech.cycle_seconds();
+    auto add = [&](ir::Reg v, double energy) {
+      const std::vector<double>& dist = model.distribution(v);
+      const double watts = energy / window_s;
+      for (std::uint32_t r = 0; r < n_phys; ++r) {
+        if (dist[r] != 0.0) {
+          p[r] += watts * dist[r];
+        }
+      }
+    };
+    for (ir::Reg u : inst.uses()) {
+      add(u, tech.read_energy_j);
+    }
+    if (auto d = inst.def()) {
+      add(*d, tech.write_energy_j);
+    }
+    return p;
+  };
+
+  ThermalDfaResult result;
+  std::vector<thermal::ThermalState> out_state(func.block_count(),
+                                               grid.initial_state());
+  const std::vector<ir::InstrRef> all_refs = func.all_instructions();
+  std::vector<std::vector<double>> prev_instr_temps(
+      all_refs.size(), std::vector<double>(n_phys, grid.substrate_temp()));
+  std::vector<std::vector<double>> cur_instr_temps = prev_instr_temps;
+  std::vector<std::size_t> block_first(func.block_count(), 0);
+  std::size_t first = 0;
+  for (const ir::BasicBlock& b : func.blocks()) {
+    block_first[b.id()] = first;
+    first += b.size();
+  }
+
+  bool stop = false;
+  while (!stop && result.iterations < config.max_iterations) {
+    stop = true;
+    ++result.iterations;
+    double iteration_delta = 0.0;
+    for (ir::BlockId b : cfg.reverse_post_order()) {
+      if (!cfg.reachable(b)) {
+        continue;
+      }
+      thermal::ThermalState state = grid.initial_state();
+      const auto& preds = cfg.predecessors(b);
+      const bool include_boundary = b == func.entry();
+      if (!preds.empty() || include_boundary) {
+        const std::size_t nodes = state.node_temps.size();
+        if (config.join_mode == JoinMode::kMax) {
+          for (std::size_t n = 0; n < nodes; ++n) {
+            double worst = state.node_temps[n];
+            for (ir::BlockId p : preds) {
+              worst = std::max(worst, out_state[p].node_temps[n]);
+            }
+            state.node_temps[n] = worst;
+          }
+        } else {
+          double weight_sum = include_boundary ? 1.0 : 0.0;
+          std::vector<double> weights(preds.size(), 1.0);
+          for (std::size_t pi = 0; pi < preds.size(); ++pi) {
+            if (config.join_mode == JoinMode::kWeightedMean) {
+              weights[pi] = std::max(freq[preds[pi]], 1e-12);
+            }
+            weight_sum += weights[pi];
+          }
+          if (weight_sum > 0.0) {
+            for (std::size_t n = 0; n < nodes; ++n) {
+              double acc = include_boundary ? grid.substrate_temp() : 0.0;
+              for (std::size_t pi = 0; pi < preds.size(); ++pi) {
+                acc += weights[pi] * out_state[preds[pi]].node_temps[n];
+              }
+              state.node_temps[n] = acc / weight_sum;
+            }
+          }
+        }
+      }
+      const ir::BasicBlock& block = func.block(b);
+      const double block_freq = std::max(freq[b], 1e-12);
+      for (std::uint32_t i = 0; i < block.size(); ++i) {
+        const ir::Instruction& inst = block.instructions()[i];
+        std::vector<double> p = instruction_power(inst);
+        if (config.include_leakage) {
+          const auto temps = grid.register_temps(state);
+          const auto leak = dfa.power_model().leakage_power(fp, temps);
+          for (std::uint32_t r = 0; r < n_phys; ++r) {
+            p[r] += leak[r];
+          }
+        }
+        const double dt = static_cast<double>(dfa.timing().cycles(inst)) *
+                          tech.cycle_seconds() * block_freq;
+        grid.step(state, p, dt);
+        const std::size_t dense = block_first[b] + i;
+        cur_instr_temps[dense] = grid.register_temps(state);
+        double change = 0.0;
+        for (std::uint32_t r = 0; r < n_phys; ++r) {
+          change = std::max(change, std::abs(cur_instr_temps[dense][r] -
+                                             prev_instr_temps[dense][r]));
+        }
+        iteration_delta = std::max(iteration_delta, change);
+        if (change > config.delta_k) {
+          stop = false;
+        }
+      }
+      out_state[b] = std::move(state);
+    }
+    result.delta_history_k.push_back(iteration_delta);
+    result.final_delta_k = iteration_delta;
+    std::swap(prev_instr_temps, cur_instr_temps);
+  }
+  result.converged = stop;
+
+  for (std::size_t i = 0; i < all_refs.size(); ++i) {
+    InstructionThermal it;
+    it.ref = all_refs[i];
+    it.reg_temps_k = prev_instr_temps[i];
+    it.peak_k = it.reg_temps_k.empty()
+                    ? grid.substrate_temp()
+                    : *std::max_element(it.reg_temps_k.begin(),
+                                        it.reg_temps_k.end());
+    result.peak_anywhere_k = std::max(result.peak_anywhere_k, it.peak_k);
+    result.per_instruction.push_back(std::move(it));
+  }
+  std::vector<double> exit_temps(n_phys, grid.substrate_temp());
+  double w_sum = 0.0;
+  std::vector<double> acc(n_phys, 0.0);
+  for (const ir::BasicBlock& b : func.blocks()) {
+    if (!cfg.reachable(b.id()) || !b.has_terminator() ||
+        b.terminator().opcode() != ir::Opcode::kRet) {
+      continue;
+    }
+    const double w = std::max(freq[b.id()], 1e-12);
+    const auto temps = grid.register_temps(out_state[b.id()]);
+    for (std::uint32_t r = 0; r < n_phys; ++r) {
+      acc[r] += w * temps[r];
+    }
+    w_sum += w;
+  }
+  if (w_sum > 0.0) {
+    for (std::uint32_t r = 0; r < n_phys; ++r) {
+      exit_temps[r] = acc[r] / w_sum;
+    }
+  }
+  result.exit_reg_temps_k = std::move(exit_temps);
+  result.exit_stats = thermal::compute_map_stats(fp, result.exit_reg_temps_k);
+  return result;
+}
+
+/// Digest of the bits of every result field but analysis_seconds.
+std::uint64_t result_bits(const ThermalDfaResult& r) {
+  Hasher h;
+  h.mix(std::uint64_t{r.converged});
+  h.mix(static_cast<std::uint64_t>(r.iterations));
+  const thermal::MapStats& s = r.exit_stats;
+  for (double v : {r.final_delta_k, r.peak_anywhere_k, s.peak_k, s.min_k,
+                   s.mean_k, s.stddev_k, s.range_k, s.max_gradient_k,
+                   s.mean_gradient_k}) {
+    h.mix(v);
+  }
+  for (const InstructionThermal& it : r.per_instruction) {
+    h.mix(std::uint64_t{it.ref.block});
+    h.mix(std::uint64_t{it.ref.index});
+    h.mix(it.peak_k);
+    for (double t : it.reg_temps_k) {
+      h.mix(t);
+    }
+  }
+  for (double t : r.exit_reg_temps_k) {
+    h.mix(t);
+  }
+  for (double d : r.delta_history_k) {
+    h.mix(d);
+  }
+  return h.digest();
+}
+
+/// A texpr function of `depth` nested while loops, each running n trips.
+std::string texpr_nest(int depth) {
+  std::string src = "fn nest" + std::to_string(depth) + "(n) {\n";
+  src += "  let acc = 0;\n";
+  for (int l = 0; l < depth; ++l) {
+    src += "  let i" + std::to_string(l) + " = 0;\n";
+  }
+  std::string indent = "  ";
+  for (int l = 0; l < depth; ++l) {
+    const std::string i = "i" + std::to_string(l);
+    src += indent + i + " = 0;\n";
+    src += indent + "while (" + i + " < n) {\n";
+    indent += "  ";
+  }
+  src += indent + "acc = acc + i0 * i" + std::to_string(depth - 1) + " + 1;\n";
+  for (int l = depth - 1; l >= 0; --l) {
+    const std::string i = "i" + std::to_string(l);
+    src += indent + i + " = " + i + " + 1;\n";
+    indent.resize(indent.size() - 2);
+    src += indent + "}\n";
+  }
+  return src + "  return acc;\n}\n";
+}
+
+TEST(ThermalDfa, MatchesReferenceLoopBitForBit) {
+  std::vector<ir::Function> funcs;
+  {
+    auto mixed =
+        frontend::find_frontend("kernels")->parse("mixed:functions=8,seed=7");
+    ASSERT_TRUE(mixed.ok()) << mixed.diagnostics_text();
+    auto nests =
+        frontend::find_frontend("texpr")->parse(texpr_nest(3) + texpr_nest(5));
+    ASSERT_TRUE(nests.ok()) << nests.diagnostics_text();
+    for (auto* m : {&*mixed.module, &*nests.module}) {
+      for (const ir::Function& f : m->functions()) {
+        funcs.push_back(f);
+      }
+    }
+  }
+  const machine::TimingModel timing;
+  std::size_t compared = 0;
+  for (const char* machine_name : {"default", "small", "dense45"}) {
+    const machine::MachineConfig* mc = machine::find_machine(machine_name);
+    ASSERT_NE(mc, nullptr) << machine_name;
+    const machine::Floorplan fp(mc->rf);
+    const power::PowerModel power(fp.config());
+    auto policy = regalloc::make_policy("first_free");
+    regalloc::LinearScanAllocator allocator(fp, *policy);
+    for (unsigned sub : {1u, 2u}) {
+      const thermal::ThermalGrid grid(fp, sub);
+      for (const ir::Function& f : funcs) {
+        SCOPED_TRACE(std::string(machine_name) + " sub=" +
+                     std::to_string(sub) + " " + f.name());
+        const auto alloc = allocator.allocate(f);
+        const dataflow::Cfg cfg(alloc.func);
+        const dataflow::Liveness lv(cfg);
+        const ExactAssignmentModel exact(alloc.func, fp, alloc.assignment);
+        const FirstFitPredictionModel first_fit(alloc.func, fp,
+                                                lv.max_pressure());
+        const UniformPredictionModel uniform(alloc.func, fp);
+        auto check = [&](const AccessDistributionModel& model,
+                         ThermalDfaConfig config) {
+          SCOPED_TRACE(model.name() + " join=" +
+                       std::to_string(static_cast<int>(config.join_mode)) +
+                       " leakage=" + std::to_string(config.include_leakage));
+          const ThermalDfa dfa(grid, power, timing, config);
+          EXPECT_EQ(result_bits(dfa.analyze(alloc.func, model)),
+                    result_bits(reference_analyze(dfa, alloc.func, model, {})));
+          ++compared;
+        };
+        if (sub > 1) {
+          // The join, leakage and model paths do not depend on the
+          // subdivision; the finer grid runs the default configuration.
+          check(exact, {});
+          continue;
+        }
+        for (JoinMode join : {JoinMode::kWeightedMean,
+                              JoinMode::kUnweightedMean, JoinMode::kMax}) {
+          for (bool leakage : {true, false}) {
+            ThermalDfaConfig config;
+            config.join_mode = join;
+            config.include_leakage = leakage;
+            check(exact, config);
+          }
+        }
+        check(first_fit, {});
+        check(uniform, {});
+      }
+      // One profiled run: the 3-deep nest's measured block counts.
+      SCOPED_TRACE(std::string(machine_name) + " sub=" +
+                   std::to_string(sub) + " profiled");
+      const auto alloc = allocator.allocate(funcs[funcs.size() - 2]);
+      sim::Interpreter interp(alloc.func, timing);
+      const std::int64_t trips = 4;
+      const auto run = interp.run(std::span(&trips, 1));
+      ASSERT_TRUE(run.ok());
+      const std::vector<double> profile(run.block_visits.begin(),
+                                        run.block_visits.end());
+      const ExactAssignmentModel exact(alloc.func, fp, alloc.assignment);
+      ThermalDfa dfa(grid, power, timing);
+      dfa.set_block_profile(profile);
+      EXPECT_EQ(
+          result_bits(dfa.analyze(alloc.func, exact)),
+          result_bits(reference_analyze(dfa, alloc.func, exact, profile)));
+    }
+  }
+  EXPECT_EQ(compared, 3u * funcs.size() * (8u + 1u));
 }
 
 }  // namespace

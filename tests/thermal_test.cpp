@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "support/serialize.hpp"
@@ -288,6 +289,67 @@ TEST(ThermalGrid, StepKeepsRecordedBitsAcrossSubdivisions) {
       }
     }
     EXPECT_EQ(h.digest(), digest) << "sub=" << sub;
+  }
+}
+
+TEST(ThermalGrid, StepKeepsRecordedBitsOverLongWindows) {
+  // Windows of thousands of substeps, where Euler can reach its exact
+  // fixed point and step() stops early. The digests were recorded on
+  // x86-64 by a step loop that ran every substep, so the early stop must
+  // not move one bit. Same shape and literal rules as the test above.
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "literals recorded on x86-64";
+#endif
+  const auto fp = small_fp();
+  const std::pair<unsigned, std::uint64_t> expected[] = {
+      {1u, 0x4f60316e246674a8ull},
+      {2u, 0x6f806b4e469d14a2ull},
+      {4u, 0x62d15f57fc1893c5ull},
+  };
+  // Multiples of max_stable_dt(). At subdivision 1 every longer window
+  // reaches the fixed point; the finer grids settle more slowly and run
+  // every substep.
+  const double dt_scale[] = {3e3, 2e4};
+  for (const auto& [sub, digest] : expected) {
+    const ThermalGrid grid(fp, sub);
+    ThermalState s = grid.initial_state();
+    Hasher h;
+    for (std::size_t i = 0; i < 20; ++i) {
+      std::vector<double> p(fp.num_registers());
+      for (std::size_t r = 0; r < p.size(); ++r) {
+        p[r] = 0.02 * static_cast<double>((r * 7 + i * 3) % 11);
+      }
+      grid.step(s, p, dt_scale[i % 2] * grid.max_stable_dt());
+      for (double t : s.node_temps) {
+        h.mix(t);
+      }
+    }
+    EXPECT_EQ(h.digest(), digest) << "sub=" << sub;
+  }
+}
+
+TEST(ThermalGrid, HugeWindowReachesSteadyState) {
+  // A window far past INT_MAX substeps (1e3 s is ~1.8e10 at subdivision
+  // 1), or an infinite one, runs at the stability limit to Euler's fixed
+  // point: the steady state, not one unstable step of length dt.
+  for (const auto& fp : {default_fp(), small_fp()}) {
+    for (unsigned sub : {1u, 2u}) {
+      const ThermalGrid grid(fp, sub);
+      auto p = no_power(fp);
+      p[0] = 2e-3;
+      p[5] = 1e-3;
+      p[10] = 0.5e-3;
+      const ThermalState steady = grid.steady_state(p);
+      for (double dt : {1e3, std::numeric_limits<double>::infinity()}) {
+        ThermalState s = grid.initial_state();
+        grid.step(s, p, dt);
+        for (std::size_t i = 0; i < s.node_temps.size(); ++i) {
+          ASSERT_NEAR(s.node_temps[i], steady.node_temps[i], 1e-6)
+              << fp.num_registers() << " registers, sub=" << sub
+              << ", dt=" << dt << ", node " << i;
+        }
+      }
+    }
   }
 }
 
