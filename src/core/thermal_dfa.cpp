@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
 
 #include "pipeline/analysis_manager.hpp"
@@ -122,6 +125,16 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
   std::vector<double> prev_temps(n_instr * n_phys, grid_->substrate_temp());
   std::vector<double> cur_temps = prev_temps;
 
+  // Carry rule: a block's run depends only on its predecessors' exit
+  // states, so a block whose inputs are bit for bit the ones it last ran
+  // with keeps its rows and exit state (a re-run would reproduce them with
+  // zero change). out_version[b] counts the runs of b that moved its exit
+  // state; ran_with[b] is the sum of b's predecessors' versions at its
+  // last run. Versions only grow, so the sum moves iff an input moved.
+  constexpr std::uint64_t kNeverRan = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> out_version(func.block_count(), 0);
+  std::vector<std::uint64_t> ran_with(func.block_count(), kNeverRan);
+
   // Scratch reused by every transfer. reg_temps points at the register
   // temperatures of `state`: the leakage input of the next instruction.
   thermal::ThermalState state;
@@ -144,13 +157,29 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       if (!cfg.reachable(b)) {
         continue;
       }
+      const auto& preds = cfg.predecessors(b);
+      const std::size_t first = block_first[b];
+      const std::size_t end = first + func.block(b).size();
+      std::uint64_t inputs = 0;
+      for (ir::BlockId p : preds) {
+        inputs += out_version[p];
+      }
+      if (inputs == ran_with[b]) {
+        // Carried: copy its rows forward so the end-of-iteration swap
+        // keeps them.
+        std::copy(prev_temps.begin() + first * n_phys,
+                  prev_temps.begin() + end * n_phys,
+                  cur_temps.begin() + first * n_phys);
+        continue;
+      }
+      ran_with[b] = inputs;
+
       // Join: merge predecessor exit states per the configured operator
       // (the paper leaves the merge open; the default weighted mean is the
       // expected temperature over incoming paths). The entry block also
       // folds in the boundary (machine at substrate temperature) with unit
       // weight, which covers the self-loop-into-entry corner case.
       state.node_temps.assign(grid_->node_count(), grid_->substrate_temp());
-      const auto& preds = cfg.predecessors(b);
       const bool include_boundary = b == func.entry();
       if (!preds.empty() || include_boundary) {
         const std::size_t nodes = state.node_temps.size();
@@ -196,8 +225,7 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       if (config_.include_leakage) {
         grid_->register_temps(state, entry_temps);
       }
-      const std::size_t end = block_first[b] + func.block(b).size();
-      for (std::size_t dense = block_first[b]; dense < end; ++dense) {
+      for (std::size_t dense = first; dense < end; ++dense) {
         std::span<const double> p(&dyn_power[dense * n_phys], n_phys);
         if (config_.include_leakage) {
           power_->leakage_power(fp, {reg_temps, n_phys}, leak);
@@ -221,6 +249,10 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
           stop = false;
         }
         reg_temps = cur;
+      }
+      if (std::memcmp(state.node_temps.data(), out_state[b].node_temps.data(),
+                      state.node_temps.size() * sizeof(double)) != 0) {
+        ++out_version[b];
       }
       std::swap(out_state[b], state);
     }

@@ -10,6 +10,10 @@
 // more than δ — or is declared non-convergent after max_iterations, which
 // the paper interprets as "the thermal state of the program may be too
 // difficult to predict at compile time due to a very irregular data usage".
+// A block whose predecessors' exit states are bit for bit the ones it last
+// ran with is carried instead of re-run: its run depends on nothing else,
+// so a re-run would reproduce its rows and exit state with zero change,
+// and carrying it moves no output bit.
 //
 // Differences from the classical framework (dataflow/framework.hpp) that
 // the paper calls out:

@@ -1,5 +1,6 @@
 #include "frontend/texpr_frontend.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <limits>
@@ -182,11 +183,60 @@ struct Expr {
   ir::Opcode op = ir::Opcode::kNop;  // kUnary / kBinary
   std::unique_ptr<Expr> a;      // kIndex: index; kUnary/kBinary: lhs
   std::unique_ptr<Expr> b;      // kBinary: rhs
+  int height = 1;               // levels from this node down to a leaf
   std::size_t line = 0;
   std::size_t column = 0;
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
+
+/// Deepest nesting the parser accepts. Blocks, parentheses, index
+/// brackets, builtin calls and unary operators each open one level, and
+/// an expression tree may be no taller (a chain `a + b + c` is one level
+/// taller per operator). Parsing, lowering and freeing the tree recurse
+/// once per level, so the bound keeps deep input from overflowing the
+/// stack; every shipped input nests 12 or fewer loops.
+constexpr int kMaxNesting = 256;
+
+[[noreturn]] void fail_nesting(const Token& at) {
+  fail_at(at, "nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+}
+
+/// Holds one level of nesting open for its lifetime; fails at `at` when
+/// that level would pass kMaxNesting.
+class Nest {
+ public:
+  Nest(int& depth, const Token& at) : depth_(depth) {
+    if (depth_ == kMaxNesting) {
+      fail_nesting(at);
+    }
+    ++depth_;
+  }
+  ~Nest() { --depth_; }
+  Nest(const Nest&) = delete;
+  Nest& operator=(const Nest&) = delete;
+
+ private:
+  int& depth_;
+};
+
+/// An interior node over `a` (and `b`) at `at`'s position; fails when
+/// the tree would grow taller than kMaxNesting.
+ExprPtr make_node(Expr::Kind kind, ir::Opcode op, const Token& at, ExprPtr a,
+                  ExprPtr b = nullptr) {
+  ExprPtr node = std::make_unique<Expr>();
+  node->kind = kind;
+  node->op = op;
+  node->height = 1 + std::max(a->height, b != nullptr ? b->height : 0);
+  if (node->height > kMaxNesting) {
+    fail_nesting(at);
+  }
+  node->a = std::move(a);
+  node->b = std::move(b);
+  node->line = at.line;
+  node->column = at.column;
+  return node;
+}
 
 /// Binary operators by precedence level, loosest first. All operators at
 /// one level are left-associative.
@@ -324,7 +374,7 @@ class Parser {
 
   /// "{ stmt* }" in a fresh lexical scope.
   void parse_braced_body() {
-    expect_punct("{");
+    const Nest nest(depth_, expect_punct("{"));
     scopes_.emplace_back();
     while (!at_punct("}")) {
       if (lex_.peek().kind == TokKind::kEnd) {
@@ -489,14 +539,8 @@ class Parser {
       }
       Token op_tok = lex_.take();
       ExprPtr rhs = parse_binary(level + 1);
-      ExprPtr node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::kBinary;
-      node->op = match->op;
-      node->a = std::move(lhs);
-      node->b = std::move(rhs);
-      node->line = op_tok.line;
-      node->column = op_tok.column;
-      lhs = std::move(node);
+      lhs = make_node(Expr::Kind::kBinary, match->op, op_tok, std::move(lhs),
+                      std::move(rhs));
     }
     return lhs;
   }
@@ -504,14 +548,10 @@ class Parser {
   ExprPtr parse_unary() {
     if (at_punct("-") || at_punct("~")) {
       Token op_tok = lex_.take();
-      ExprPtr operand = parse_unary();
-      ExprPtr node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::kUnary;
-      node->op = op_tok.text == "-" ? ir::Opcode::kNeg : ir::Opcode::kNot;
-      node->a = std::move(operand);
-      node->line = op_tok.line;
-      node->column = op_tok.column;
-      return node;
+      const Nest nest(depth_, op_tok);
+      return make_node(Expr::Kind::kUnary,
+                       op_tok.text == "-" ? ir::Opcode::kNeg : ir::Opcode::kNot,
+                       op_tok, parse_unary());
     }
     return parse_primary();
   }
@@ -533,15 +573,12 @@ class Parser {
         return parse_builtin_call(name);
       }
       if (at_punct("[")) {
-        lex_.take();
+        const Nest nest(depth_, lex_.take());
         ExprPtr index = parse_expr();
         expect_punct("]");
-        ExprPtr node = std::make_unique<Expr>();
-        node->kind = Expr::Kind::kIndex;
+        ExprPtr node = make_node(Expr::Kind::kIndex, ir::Opcode::kNop, name,
+                                 std::move(index));
         node->name = name.text;
-        node->a = std::move(index);
-        node->line = name.line;
-        node->column = name.column;
         return node;
       }
       ExprPtr node = std::make_unique<Expr>();
@@ -552,7 +589,7 @@ class Parser {
       return node;
     }
     if (at_punct("(")) {
-      lex_.take();
+      const Nest nest(depth_, lex_.take());
       ExprPtr inner = parse_expr();
       expect_punct(")");
       return inner;
@@ -573,19 +610,12 @@ class Parser {
                         "' (texpr has min(a, b) and max(a, b); there are no "
                         "user-defined calls)");
     }
-    expect_punct("(");
+    const Nest nest(depth_, expect_punct("("));
     ExprPtr a = parse_expr();
     expect_punct(",");
     ExprPtr b = parse_expr();
     expect_punct(")");
-    ExprPtr node = std::make_unique<Expr>();
-    node->kind = Expr::Kind::kBinary;
-    node->op = op;
-    node->a = std::move(a);
-    node->b = std::move(b);
-    node->line = name.line;
-    node->column = name.column;
-    return node;
+    return make_node(Expr::Kind::kBinary, op, name, std::move(a), std::move(b));
   }
 
   // --- Lowering --------------------------------------------------------------
@@ -673,6 +703,7 @@ class Parser {
   std::unique_ptr<ir::IRBuilder> builder_;
   std::vector<std::map<std::string, ir::Reg>> scopes_;
   int block_counter_ = 0;
+  int depth_ = 0;  // levels open now (see kMaxNesting)
 };
 
 }  // namespace

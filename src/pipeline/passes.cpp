@@ -26,6 +26,7 @@
 // LoopInfo, block frequencies) survive every rewrite; liveness-class
 // analyses survive only passes that did not touch the instruction stream.
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -559,7 +560,8 @@ void register_builtin_passes(PassRegistry& registry) {
         }
         if (!spec.args.empty()) {
           std::size_t n = 0;
-          if (!parse_count(spec.args[0], n)) {
+          if (!parse_count(spec.args[0], n) ||
+              n > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
             return fail(error, "bad nops per_site '" + spec.args[0] + "'");
           }
           per_site = static_cast<int>(n);

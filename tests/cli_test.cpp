@@ -195,6 +195,24 @@ TEST(CliTest, TwelveDeepNestCompiles) {
       << r.stdout_text;
 }
 
+TEST(CliTest, DeepNestingIsADiagnosticNotACrash) {
+  // Nesting past the parser's limit is a diagnostic (exit 1), not a
+  // stack overflow.
+  const std::string src = "fn g(a) { return " + std::string(5000, '(') + "a" +
+                          std::string(5000, ')') + "; }\n";
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tadfa-cli-test-" + std::to_string(::getpid()) +
+                     "-nested.texpr");
+  std::ofstream(path) << src;
+  const RunResult r = run_cli("--no-map " + path.string() + " --args=3");
+  std::filesystem::remove(path);
+  ASSERT_TRUE(r.exited) << "CLI died of a signal";
+  EXPECT_EQ(r.status, 1) << r.stderr_text;
+  EXPECT_NE(r.stderr_text.find("line 1:273: nesting deeper than 256 levels"),
+            std::string::npos)
+      << r.stderr_text;
+}
+
 TEST(CliTest, ServeRejectsBadThermalFlagsBeforeBinding) {
   const auto socket = std::filesystem::temp_directory_path() /
                       ("tadfa-cli-test-" + std::to_string(::getpid()) +

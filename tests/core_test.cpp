@@ -682,10 +682,17 @@ TEST(ThermalDfa, MatchesReferenceLoopBitForBit) {
     auto mixed =
         frontend::find_frontend("kernels")->parse("mixed:functions=8,seed=7");
     ASSERT_TRUE(mixed.ok()) << mixed.diagnostics_text();
+    // The carry rule's corners: the entry block is a loop target (the
+    // boundary and a predecessor are joined), and an unreachable block
+    // that never runs jumps into a reachable one.
+    auto corners = frontend::find_frontend("tir")->parse(
+        "func @g(%0) {\nentry:\n  %1 = const 1\n  %0 = sub %0, %1\n"
+        "  br %0, entry, out\ndead:\n  jmp out\nout:\n  ret %0\n}\n");
+    ASSERT_TRUE(corners.ok()) << corners.diagnostics_text();
     auto nests =
         frontend::find_frontend("texpr")->parse(texpr_nest(3) + texpr_nest(5));
     ASSERT_TRUE(nests.ok()) << nests.diagnostics_text();
-    for (auto* m : {&*mixed.module, &*nests.module}) {
+    for (auto* m : {&*mixed.module, &*corners.module, &*nests.module}) {
       for (const ir::Function& f : m->functions()) {
         funcs.push_back(f);
       }

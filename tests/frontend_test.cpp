@@ -223,6 +223,63 @@ TEST(TexprFrontend, TruncationSweepNeverCrashes) {
   EXPECT_TRUE(fe("texpr").parse(program).ok());
 }
 
+// The parser and the lowering recurse once per nesting level, so source
+// nested past the limit must be a positioned diagnostic, never a stack
+// overflow. The function body is the first of the 256 levels, and an
+// operator chain nests once per operator.
+TEST(TexprFrontend, NestingPastTheLimitIsADiagnostic) {
+  // Each shape is prefix + open^n + inner + close^n + suffix.
+  struct Shape {
+    const char* label;
+    const char* prefix;
+    const char* open;
+    const char* inner;
+    const char* close;
+    const char* suffix;
+  };
+  const Shape shapes[] = {
+      {"parens", "fn g(a) { return ", "(", "a", ")", "; }"},
+      {"negations", "fn g(a) { return ", "-", "a", "", "; }"},
+      {"brackets", "fn g(a) { return ", "a[", "0", "]", "; }"},
+      {"min-calls", "fn g(a) { return ", "min(a, ", "a", ")", "; }"},
+      {"operator-chain", "fn g(a) { return a", "", "", " + a", "; }"},
+      {"while-nest", "fn g(a) {\n", "while (a < 0) {\n", "a = a + 1;\n", "}\n",
+       "return a;\n}\n"},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.label);
+    auto source = [&](int n) {
+      std::string src = shape.prefix;
+      for (int i = 0; i < n; ++i) {
+        src += shape.open;
+      }
+      src += shape.inner;
+      for (int i = 0; i < n; ++i) {
+        src += shape.close;
+      }
+      return src + shape.suffix;
+    };
+    const auto at_limit = fe("texpr").parse(source(255));
+    EXPECT_TRUE(at_limit.ok()) << at_limit.diagnostics_text();
+    expect_well_formed_outcome(at_limit, "at the limit");
+    for (int n : {256, 100000}) {
+      const auto r = fe("texpr").parse(source(n));
+      ASSERT_FALSE(r.ok()) << n;
+      expect_well_formed_outcome(r, std::to_string(n));
+      const std::string& message = r.diagnostics.front().message;
+      EXPECT_NE(message.find("nesting deeper than 256 levels"),
+                std::string::npos)
+          << r.diagnostics_text();
+    }
+  }
+  // The diagnostic sits at the token that opens the 257th level.
+  const std::string head = "fn g(a) { return ";
+  const auto parens = fe("texpr").parse(head + std::string(300, '(') + "a" +
+                                        std::string(300, ')') + "; }");
+  ASSERT_FALSE(parens.ok());
+  EXPECT_EQ(parens.diagnostics.front().column, head.size() + 256);
+}
+
 TEST(TirFrontend, TruncationSweepNeverCrashes) {
   const std::string program =
       "func @f(%0) {\nentry:\n  %1 = add %0, 1\n  br %1, b, c\nb:\n  ret "

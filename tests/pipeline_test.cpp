@@ -212,6 +212,16 @@ TEST_F(PipelineTest, RejectsBadPassArguments) {
   EXPECT_FALSE(manager().run(kernel->func, "alloc=linear:hottest_last").ok);
   EXPECT_FALSE(manager().run(kernel->func, "split-hot=0").ok);
   EXPECT_FALSE(manager().run(kernel->func, "nops=zero").ok);
+  // Counts past INT_MAX are rejected up front, not narrowed into a failed
+  // assertion once nops' prerequisites are met.
+  for (const char* count : {"2147483648", "4294967296"}) {
+    const std::string spec =
+        std::string("alloc=linear:first_free,thermal-dfa,nops=") + count;
+    const auto run = manager().run(kernel->func, spec);
+    EXPECT_FALSE(run.ok);
+    EXPECT_NE(run.error.find("bad nops per_site"), std::string::npos)
+        << run.error;
+  }
   EXPECT_FALSE(manager().run(kernel->func, "cse=3").ok);
 }
 

@@ -332,6 +332,39 @@ TEST_F(ServiceTest, BadSpecAndUnknownKernelGetStructuredErrors) {
   server.shutdown();
 }
 
+TEST_F(ServiceTest, OutOfRangeNopsAndDeepNestingGetErrors) {
+  service::CompileServer server(context(), config());
+  ASSERT_TRUE(server.start()) << server.error();
+
+  // A nops count past INT_MAX is a spec error, not a failed assertion.
+  service::CompileRequest huge_nops;
+  huge_nops.spec = "alloc=linear:first_free,thermal-dfa,nops=2147483648";
+  huge_nops.kernels = {"crc32"};
+  const auto r1 = roundtrip(config().socket_path, huge_nops);
+  EXPECT_FALSE(r1.ok);
+  EXPECT_NE(r1.error.find("bad nops per_site"), std::string::npos) << r1.error;
+
+  // Source nested past the parser's limit is a parse error, not a stack
+  // overflow.
+  service::CompileRequest deep;
+  deep.spec = kSpec;
+  deep.frontend = "texpr";
+  deep.module_text = "fn g(a) { return " + std::string(5000, '(') + "a" +
+                     std::string(5000, ')') + "; }\n";
+  const auto r2 = roundtrip(config().socket_path, deep);
+  EXPECT_FALSE(r2.ok);
+  EXPECT_NE(r2.error.find("nesting deeper than 256 levels"), std::string::npos)
+      << r2.error;
+
+  // The same server still compiles a valid request.
+  service::CompileRequest valid;
+  valid.spec = kSpec;
+  valid.kernels = {"crc32"};
+  const auto r3 = roundtrip(config().socket_path, valid);
+  EXPECT_TRUE(r3.ok) << r3.error;
+  server.shutdown();
+}
+
 TEST_F(ServiceTest, MalformedPayloadGetsErrorAndConnectionSurvives) {
   service::CompileServer server(context(), config());
   ASSERT_TRUE(server.start()) << server.error();
