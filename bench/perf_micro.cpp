@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,31 @@ void BM_ThermalStep(benchmark::State& state) {
   state.SetLabel(std::to_string(grid.node_count()) + " nodes");
 }
 BENCHMARK(BM_ThermalStep)->Arg(1)->Arg(2)->Arg(4);
+
+// --- ThermalGrid::step over long windows: Euler loop vs. modal path ----------
+// A window of n substeps runs the Euler loop below max(64, node rows +
+// node cols) substeps and the closed-form modal path from there on. On
+// the 8×8 default floorplan the cutoff is 64 substeps up to subdivision
+// 4 and 128 at subdivision 8, so the 63/64 pair straddles it at 1, 2 and
+// 4 and the pair 64/1000 at 8. Arg 2 = 0 is dt = +inf, the steady state.
+void BM_ThermalWindow(benchmark::State& state) {
+  const auto sub = static_cast<unsigned>(state.range(0));
+  const auto substeps = static_cast<double>(state.range(1));
+  const thermal::ThermalGrid grid(rig().fp, sub);
+  auto s = grid.initial_state();
+  std::vector<double> p(rig().fp.num_registers(), 1e-4);
+  // Half a substep short, so ceil(dt / max_stable_dt()) is `substeps`.
+  const double dt = substeps > 0 ? (substeps - 0.5) * grid.max_stable_dt()
+                                 : std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    grid.step(s, p, dt);
+    benchmark::DoNotOptimize(s.node_temps.data());
+  }
+  state.SetLabel(std::to_string(grid.node_count()) + " nodes");
+}
+BENCHMARK(BM_ThermalWindow)
+    ->ArgsProduct({{1, 2, 4, 8}, {32, 63, 64, 1000, 100000, 0}})
+    ->Unit(benchmark::kMicrosecond);
 
 // --- ThermalGrid::step: edge-checked reference vs. the fused pass ------------
 // step() used to walk nested row/col loops with four boundary branches
@@ -158,6 +184,7 @@ void BM_ThermalStep_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalStep_Reference)->Arg(1)->Arg(2)->Arg(4);
 
+// The n = ∞ case of the modal path: an exact solve.
 void BM_SteadyState(benchmark::State& state) {
   const auto sub = static_cast<unsigned>(state.range(0));
   const thermal::ThermalGrid grid(rig().fp, sub);
@@ -167,7 +194,7 @@ void BM_SteadyState(benchmark::State& state) {
     benchmark::DoNotOptimize(s.node_temps.data());
   }
 }
-BENCHMARK(BM_SteadyState)->Arg(1)->Arg(2);
+BENCHMARK(BM_SteadyState)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_Liveness(benchmark::State& state) {
   workload::RandomProgramConfig cfg;

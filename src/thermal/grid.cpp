@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "support/assert.hpp"
 #include "support/serialize.hpp"
@@ -39,8 +39,7 @@ ThermalGrid::ThermalGrid(const machine::Floorplan& floorplan,
   const double k = tech.silicon_conductivity;
 
   // Capacitance: node volume × volumetric heat capacity.
-  const double c_node = node_w * node_h * thickness * tech.silicon_volumetric_heat;
-  cap_.assign(n, c_node);
+  cap_ = node_w * node_h * thickness * tech.silicon_volumetric_heat;
 
   // Vertical: spreading resistance of the whole cell into the bulk,
   // R_cell = scale / (2·k·sqrt(A_cell/π)), split evenly over the cell's
@@ -50,8 +49,7 @@ ThermalGrid::ThermalGrid(const machine::Floorplan& floorplan,
   const double r_cell = tech.vertical_resistance_scale /
                         (2.0 * k * std::sqrt(cell_area / 3.14159265358979));
   const double g_cell = 1.0 / r_cell;
-  const double g_node = g_cell / (subdivision * subdivision);
-  g_vertical_.assign(n, g_node);
+  g_vertical_ = g_cell / (subdivision * subdivision);
 
   // Lateral conduction between adjacent nodes:
   // G = k · (edge_length · thickness) / center_distance.
@@ -60,8 +58,8 @@ ThermalGrid::ThermalGrid(const machine::Floorplan& floorplan,
 
   // Stability: dt < min_i C_i / (sum of conductances at i). Corner nodes
   // have fewest links, interior most; use the interior worst case.
-  const double g_max = g_node + 2 * g_lateral_h_ + 2 * g_lateral_v_;
-  stable_dt_ = 0.9 * c_node / g_max;
+  const double g_max = g_vertical_ + 2 * g_lateral_h_ + 2 * g_lateral_v_;
+  stable_dt_ = 0.9 * cap_ / g_max;
 
   // Link conductance planes for the transient hot loop: slot order
   // W/E/N/S, zero conductance where the neighbor is missing.
@@ -75,6 +73,43 @@ ThermalGrid::ThermalGrid(const machine::Floorplan& floorplan,
       nbr_g_[3 * n + i] = row + 1 < node_rows_ ? g_lateral_v_ : 0.0;
     }
   }
+
+  // Modal basis and eigenvalues. A window costs the Euler loop one pass
+  // over the nodes per substep and the modal path about 3·(rows + cols)
+  // multiply-adds per node, so windows of fewer than max(64, rows +
+  // cols) substeps stay on the loop (bench_perf_micro's BM_ThermalWindow
+  // measures the crossover).
+  auto dct_basis = [](std::size_t m, std::vector<double>& phi,
+                      std::vector<double>& phi_t, std::vector<double>& mu) {
+    phi.resize(m * m);
+    phi_t.resize(m * m);
+    mu.resize(m);
+    const double pi = std::acos(-1.0);
+    const double md = static_cast<double>(m);
+    for (std::size_t mode = 0; mode < m; ++mode) {
+      const double kd = static_cast<double>(mode);
+      mu[mode] = 2.0 - 2.0 * std::cos(pi * kd / md);
+      const double c = std::sqrt((mode == 0 ? 1.0 : 2.0) / md);
+      for (std::size_t j = 0; j < m; ++j) {
+        const double jd = static_cast<double>(j);
+        phi[j * m + mode] = c * std::cos(pi * kd * (jd + 0.5) / md);
+        phi_t[mode * m + j] = phi[j * m + mode];
+      }
+    }
+  };
+  std::vector<double> mu_rows;
+  std::vector<double> mu_cols;
+  dct_basis(node_rows_, phi_rows_, phi_rows_t_, mu_rows);
+  dct_basis(node_cols_, phi_cols_, phi_cols_t_, mu_cols);
+  eigenvalues_.resize(n);
+  for (std::size_t a = 0; a < node_rows_; ++a) {
+    for (std::size_t b = 0; b < node_cols_; ++b) {
+      eigenvalues_[node_index(a, b)] =
+          g_vertical_ + g_lateral_v_ * mu_rows[a] + g_lateral_h_ * mu_cols[b];
+    }
+  }
+  modal_cutoff_ =
+      static_cast<double>(std::max<std::size_t>(64, node_rows_ + node_cols_));
 
   // Register <-> node maps.
   cell_nodes_.reserve(n);
@@ -129,29 +164,29 @@ void ThermalGrid::step(ThermalState& state,
   if (dt == 0.0) {
     return;
   }
-
-  // The substep ratio stays in double until it is known to fit an int. A
-  // longer window (dt = +inf arises once a loop nest's frequency scaling
-  // overflows) runs at the stability limit and ends at the fixed point
-  // below, long before the cap.
-  constexpr int kMaxSubsteps = std::numeric_limits<int>::max();
-  const double ratio = std::ceil(dt / stable_dt_);
-  int substeps = kMaxSubsteps;
-  double h = stable_dt_;
-  if (ratio <= kMaxSubsteps) {
-    substeps = std::max(1, static_cast<int>(ratio));
-    h = dt / substeps;
+  // The scratch is thread_local: the DFA calls step() once per
+  // instruction per iteration, and per-call mallocs both cost time and
+  // serialize the driver's worker pool on the allocator.
+  thread_local std::vector<double> p;
+  spread_power(reg_power_w, p);
+  // The substep count stays in double: a deep loop nest's window passes
+  // INT_MAX substeps, and dt = +inf once its frequency scaling overflows.
+  // Both take the modal path, so the loop's count always fits an int.
+  const double substeps = std::max(1.0, std::ceil(dt / stable_dt_));
+  if (substeps < modal_cutoff_) {
+    euler(state.node_temps, p, static_cast<int>(substeps), dt / substeps);
+  } else {
+    propagate_modal(state.node_temps, p, substeps, dt / substeps);
   }
+}
 
+void ThermalGrid::euler(std::vector<double>& temps,
+                        const std::vector<double>& p, int substeps,
+                        double h) const {
   // Two temperature planes laid out [pad][t][pad][next][pad], each pad
   // node_cols_ finite values, so every node's W/E/N/S reads stay in
-  // bounds (see nbr_g_). Only the pads need filling per call. The scratch
-  // is thread_local — the DFA calls step() once per instruction per
-  // iteration, and per-call mallocs both cost time and serialize the
-  // driver's worker pool on the allocator.
-  thread_local std::vector<double> p;
+  // bounds (see nbr_g_). Only the pads need filling per call.
   thread_local std::vector<double> planes;
-  spread_power(reg_power_w, p);
   const std::size_t n = node_count();
   const std::size_t pad = node_cols_;
   planes.resize(2 * n + 3 * pad);
@@ -160,20 +195,15 @@ void ThermalGrid::step(ThermalState& state,
   std::fill_n(planes.data(), pad, substrate_temp_);
   std::fill_n(t + n, pad, substrate_temp_);
   std::fill_n(next + n, pad, substrate_temp_);
-  std::copy(state.node_temps.begin(), state.node_temps.end(), t);
+  std::copy(temps.begin(), temps.end(), t);
 
-  // Every substep applies the same map (same p, same h), so one that
-  // leaves every node's bits unchanged has reached the fixed point and
-  // the rest would change nothing. Checking every 64th substep keeps the
-  // compare off short windows.
-  constexpr int kFixedPointCheck = 64;
   const double* pw = p.data();
-  const double* gv = g_vertical_.data();
   const double* gw = nbr_g_.data();
   const double* ge = gw + n;
   const double* gn = ge + n;
   const double* gs = gn + n;
-  const double* cap = cap_.data();
+  const double gv = g_vertical_;
+  const double cap = cap_;
   const double ts = substrate_temp_;
   const auto nodes = static_cast<std::ptrdiff_t>(n);
   const auto row = static_cast<std::ptrdiff_t>(node_cols_);
@@ -185,67 +215,94 @@ void ThermalGrid::step(ThermalState& state,
 #pragma omp simd
     for (std::ptrdiff_t i = 0; i < nodes; ++i) {
       const double ti = t[i];
-      double flux = pw[i] + gv[i] * (ts - ti);
+      double flux = pw[i] + gv * (ts - ti);
       flux += gw[i] * (t[i - 1] - ti);
       flux += ge[i] * (t[i + 1] - ti);
       flux += gn[i] * (t[i - row] - ti);
       flux += gs[i] * (t[i + row] - ti);
-      next[i] = ti + h * flux / cap[i];
+      next[i] = ti + h * flux / cap;
     }
     std::swap(t, next);
-    if ((s + 1) % kFixedPointCheck == 0 && s + 1 < substeps &&
-        std::memcmp(t, next, n * sizeof(double)) == 0) {
-      break;
-    }
   }
-  std::copy_n(t, n, state.node_temps.begin());
+  std::copy_n(t, n, temps.begin());
 }
 
-ThermalState ThermalGrid::steady_state(std::span<const double> reg_power_w,
-                                       double tolerance_k) const {
-  TADFA_ASSERT(reg_power_w.size() == floorplan_->num_registers());
+void ThermalGrid::propagate_modal(std::vector<double>& temps,
+                                  const std::vector<double>& p,
+                                  double substeps, double h) const {
+  thread_local std::vector<double> scratch;
+  const std::size_t n = node_count();
+  scratch.resize(4 * n);
+  double* u = scratch.data();
+  double* u_hat = u + n;
+  double* p_hat = u_hat + n;
+  double* work = p_hat + n;
+  for (std::size_t i = 0; i < n; ++i) {
+    u[i] = temps[i] - substrate_temp_;
+  }
+  // Û = Φᵀ·U, with Φ = Φ_rows ⊗ Φ_cols acting on the rows × cols plane
+  // as Φ_rowsᵀ·U·Φ_cols.
+  sandwich(phi_rows_t_, u, phi_cols_, u_hat, work);
+  sandwich(phi_rows_t_, p.data(), phi_cols_, p_hat, work);
+  // Each mode relaxes toward its steady value Ŝ = p̂/λ by Euler's factor
+  // 1 − hλ/C per substep, |factor| < 1 below the stability limit. After
+  // infinitely many substeps (where h is not a number) only Ŝ is left.
+  const bool settled = std::isinf(substeps);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lambda = eigenvalues_[i];
+    const double steady = p_hat[i] / lambda;
+    const double decay =
+        settled ? 0.0 : std::pow(1.0 - h * lambda / cap_, substeps);
+    u_hat[i] = steady + decay * (u_hat[i] - steady);
+  }
+  sandwich(phi_rows_, u_hat, phi_cols_t_, u, work);
+  for (std::size_t i = 0; i < n; ++i) {
+    temps[i] = substrate_temp_ + u[i];
+  }
+}
 
-  std::vector<double> p;
-  spread_power(reg_power_w, p);
-  ThermalState state = initial_state();
-  std::vector<double>& t = state.node_temps;
-
-  // Gauss-Seidel on  (G_v + ΣG_l)·T_i = P_i + G_v·T_sub + Σ G_l·T_j.
-  // The system matrix is strictly diagonally dominant (G_v > 0), so this
-  // converges for any starting point.
-  double worst = tolerance_k + 1;
-  int iterations = 0;
-  const int max_iterations = 100000;
-  while (worst > tolerance_k && iterations < max_iterations) {
-    worst = 0.0;
-    ++iterations;
-    for (std::size_t row = 0; row < node_rows_; ++row) {
-      for (std::size_t col = 0; col < node_cols_; ++col) {
-        const std::size_t i = node_index(row, col);
-        double g_sum = g_vertical_[i];
-        double rhs = p[i] + g_vertical_[i] * substrate_temp_;
-        if (col > 0) {
-          g_sum += g_lateral_h_;
-          rhs += g_lateral_h_ * t[i - 1];
-        }
-        if (col + 1 < node_cols_) {
-          g_sum += g_lateral_h_;
-          rhs += g_lateral_h_ * t[i + 1];
-        }
-        if (row > 0) {
-          g_sum += g_lateral_v_;
-          rhs += g_lateral_v_ * t[i - node_cols_];
-        }
-        if (row + 1 < node_rows_) {
-          g_sum += g_lateral_v_;
-          rhs += g_lateral_v_ * t[i + node_cols_];
-        }
-        const double updated = rhs / g_sum;
-        worst = std::max(worst, std::abs(updated - t[i]));
-        t[i] = updated;
+void ThermalGrid::sandwich(const std::vector<double>& a, const double* x,
+                           const std::vector<double>& b, double* out,
+                           double* work) const {
+  const std::size_t rows = node_rows_;
+  const std::size_t cols = node_cols_;
+  // work = a·x, then out = work·b: each row of the result accumulates
+  // scaled rows of the right-hand factor, so every inner loop is
+  // contiguous.
+  std::fill_n(work, rows * cols, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* dst = work + i * cols;
+    for (std::size_t j = 0; j < rows; ++j) {
+      const double c = a[i * rows + j];
+      const double* src = x + j * cols;
+#pragma omp simd
+      for (std::size_t l = 0; l < cols; ++l) {
+        dst[l] += c * src[l];
       }
     }
   }
+  std::fill_n(out, rows * cols, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* dst = out + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double c = work[i * cols + j];
+      const double* src = b.data() + j * cols;
+#pragma omp simd
+      for (std::size_t l = 0; l < cols; ++l) {
+        dst[l] += c * src[l];
+      }
+    }
+  }
+}
+
+ThermalState ThermalGrid::steady_state(
+    std::span<const double> reg_power_w) const {
+  TADFA_ASSERT(reg_power_w.size() == floorplan_->num_registers());
+  std::vector<double> p;
+  spread_power(reg_power_w, p);
+  ThermalState state = initial_state();
+  propagate_modal(state.node_temps, p,
+                  std::numeric_limits<double>::infinity(), 0.0);
   return state;
 }
 
@@ -275,15 +332,18 @@ double ThermalGrid::stored_energy(const ThermalState& state) const {
   TADFA_ASSERT(state.node_temps.size() == node_count());
   double e = 0.0;
   for (std::size_t i = 0; i < node_count(); ++i) {
-    e += cap_[i] * (state.node_temps[i] - substrate_temp_);
+    e += cap_ * (state.node_temps[i] - substrate_temp_);
   }
   return e;
 }
 
 std::uint64_t ThermalGrid::config_digest() const {
+  // The marker names the propagator: long windows' low bits come from
+  // the modal path, so keys minted before it never match.
   return Hasher()
       .mix(floorplan_->config_digest())
       .mix(std::uint64_t{subdivision_})
+      .mix(std::string_view{"modal propagator"})
       .digest();
 }
 

@@ -14,13 +14,27 @@
 // The model is linear; leakage's temperature dependence is closed by the
 // caller (power model) between steps.
 //
-// One transient kernel: explicit Euler, one fused `#pragma omp simd` pass
-// per substep from one padded temperature plane into another. Each node's
-// operations run in the original scalar loop's order, so its results are
-// bit-identical to that loop. Every substep of a window applies the same
-// map, so a window ends early once a substep leaves every node bit-for-bit
-// unchanged. steady_state() is full-sweep Gauss-Seidel, kept as the
-// transient step's oracle.
+// A window of dt seconds is n = ceil(dt / max_stable_dt()) explicit-Euler
+// substeps of h = dt / n. It takes one of two paths:
+//
+//   - Euler loop, for n < max(64, node rows + node cols): one fused
+//     `#pragma omp simd` pass per substep from one padded temperature
+//     plane into another. Each node's operations run in the original
+//     scalar loop's order, so its results are bit-identical to that loop.
+//   - Modal path, for every longer window, including n past INT_MAX and
+//     dt = +inf: Euler's own n-step map in closed form. C, g_v and each
+//     direction's lateral conductance are the same at every node of the
+//     full rectangle, so G = g_v·I + g_ns·(L_rows⊗I) + g_ew·(I⊗L_cols) is
+//     diagonal in the orthonormal DCT-II basis Φ of the two free-ended
+//     path Laplacians, with λ_ab = g_v + g_ns·μ_a + g_ew·μ_b and
+//     μ_k = 2 − 2cos(πk/m). On U = T − T_sub and Ŝ = Φᵀp/λ the window is
+//     Û ← Ŝ + (1 − hλ/C)ⁿ(ΦᵀU − Ŝ), T = T_sub + ΦÛ, with the power taken
+//     as 0 at n = ∞. That is three separable transforms, about
+//     3·(rows + cols) multiply-adds per node, whatever n is. Its bits
+//     differ from the loop's in the last places (about 1e-11 K), so
+//     config_digest() carries a propagator marker.
+//
+// steady_state() is the same map at n = ∞: an exact solve.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +67,7 @@ class ThermalGrid {
 
   const machine::Floorplan& floorplan() const { return *floorplan_; }
   unsigned subdivision() const { return subdivision_; }
-  std::size_t node_count() const { return cap_.size(); }
+  std::size_t node_count() const { return node_rows_ * node_cols_; }
 
   /// Node indices covering a register's cell.
   std::span<const std::size_t> nodes_of(machine::PhysReg r) const;
@@ -65,17 +79,16 @@ class ThermalGrid {
   ThermalState initial_state() const;
 
   /// Advances the transient solution by `dt` seconds with per-register
-  /// power `reg_power_w` (watts, spread uniformly over each cell's nodes).
-  /// Internally substeps to respect the explicit-Euler stability limit.
-  /// A window longer than INT_MAX substeps, or `dt` = +inf, runs at
-  /// max_stable_dt() until Euler's fixed point (the steady state).
+  /// power `reg_power_w` (watts, spread uniformly over each cell's nodes):
+  /// n explicit-Euler substeps at the stability limit, run one by one or
+  /// applied in closed form (see the header comment). `dt` = +inf lands
+  /// on the steady state.
   void step(ThermalState& state, std::span<const double> reg_power_w,
             double dt) const;
 
-  /// Steady-state temperatures under constant per-register power
-  /// (full-sweep Gauss-Seidel to `tolerance_k`).
-  ThermalState steady_state(std::span<const double> reg_power_w,
-                            double tolerance_k = 1e-9) const;
+  /// Steady-state temperatures under constant per-register power: the
+  /// modal path's exact solve G·U = p.
+  ThermalState steady_state(std::span<const double> reg_power_w) const;
 
   /// Largest dt (seconds) a single explicit-Euler step may take.
   double max_stable_dt() const { return stable_dt_; }
@@ -107,17 +120,40 @@ class ThermalGrid {
   void spread_power(std::span<const double> reg_power_w,
                     std::vector<double>& p) const;
 
+  /// `substeps` Euler substeps of `h` seconds on `temps` under node
+  /// power `p`.
+  void euler(std::vector<double>& temps, const std::vector<double>& p,
+             int substeps, double h) const;
+
+  /// Euler's `substeps`-step map of `h` seconds in closed form on `temps`
+  /// under node power `p`; `substeps` = +inf is the steady state, and
+  /// `h` is then not read.
+  void propagate_modal(std::vector<double>& temps,
+                       const std::vector<double>& p, double substeps,
+                       double h) const;
+
+  /// out = a·x·b for a node plane x (rows × cols), a rows × rows and b
+  /// cols × cols, all row-major; `work` holds node_count() values.
+  void sandwich(const std::vector<double>& a, const double* x,
+                const std::vector<double>& b, double* out,
+                double* work) const;
+
   const machine::Floorplan* floorplan_;
   unsigned subdivision_;
   std::size_t node_rows_ = 0;
   std::size_t node_cols_ = 0;
   double substrate_temp_ = 0;
 
-  std::vector<double> cap_;              // C per node (J/K)
-  std::vector<double> g_vertical_;       // node -> substrate (W/K)
-  double g_lateral_h_ = 0;               // east-west neighbor link (W/K)
-  double g_lateral_v_ = 0;               // north-south neighbor link (W/K)
+  // The grid is a full rectangle of identical nodes: one C, one g_v and
+  // one lateral conductance per direction. The modal basis is exact only
+  // because of this.
+  double cap_ = 0;          // C per node (J/K)
+  double g_vertical_ = 0;   // node -> substrate (W/K)
+  double g_lateral_h_ = 0;  // east-west neighbor link (W/K)
+  double g_lateral_v_ = 0;  // north-south neighbor link (W/K)
   double stable_dt_ = 0;
+  // Windows of at least this many substeps take the modal path.
+  double modal_cutoff_ = 0;
 
   // Link conductances for step()'s loop: 4 planes in fixed W/E/N/S order
   // (slot s's plane starts at s·n). step() reads every node's four
@@ -127,6 +163,14 @@ class ThermalGrid {
   // running flux (never −0) unchanged. So the loop is branch-free and
   // still bit-identical to the edge-checked form.
   std::vector<double> nbr_g_;  // 4 planes (W/K; 0 = no link)
+
+  // Modal basis: Φ[j][k] = φ_k(j) = c_k·cos(πk(j + ½)/m), the
+  // orthonormal DCT-II eigenvectors of a free-ended path of m nodes, for
+  // the rows and the columns, each also transposed so that every
+  // transform loop runs along a row.
+  std::vector<double> phi_rows_, phi_rows_t_;
+  std::vector<double> phi_cols_, phi_cols_t_;
+  std::vector<double> eigenvalues_;  // λ_ab at [a·cols + b] (W/K)
 
   // Each register's subdivision² node indices, register-major.
   std::vector<std::size_t> cell_nodes_;

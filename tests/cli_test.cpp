@@ -156,8 +156,9 @@ TEST(CliTest, KernelsFrontendKeepsKernelArguments) {
 TEST(CliTest, TwelveDeepNestCompiles) {
   // Frequency scaling makes the innermost window of a 12-deep nest
   // trip_count_guess^12 instruction times long: ~1e10 Euler substeps,
-  // more than an int counts. The DFA must still finish and converge, each
-  // such window running only to Euler's fixed point.
+  // more than an int counts. The DFA must still finish and converge; such
+  // a window takes the grid's modal path, whose cost does not depend on
+  // its length.
   const int depth = 12;
   std::string src = "fn deep(n) {\n  let acc = 0;\n";
   for (int l = 0; l < depth; ++l) {
