@@ -1,7 +1,7 @@
 // PERF — google-benchmark micro-benchmarks: the analysis must be cheap
 // enough to live inside a compiler. Measures the thermal DFA end to end
 // vs. program size, RF size, and grid granularity; plus the underlying
-// primitives (thermal step, steady state, liveness, allocation).
+// primitives (thermal step, steady state, leakage, liveness, allocation).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include "dataflow/loop_info.hpp"
 #include "pipeline/analysis_manager.hpp"
 #include "pipeline/pass_manager.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -195,6 +196,32 @@ void BM_SteadyState(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteadyState)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// --- PowerModel::leakage_power: one vectorized pass of the exp kernel -------
+// The thermal DFA calls it once per transfer on every register of the
+// file: 64 cells on the default floorplan, 128 on the large one.
+void BM_Leakage(benchmark::State& state) {
+  const auto cfg = state.range(0) == 64
+                       ? machine::RegisterFileConfig::default_config()
+                       : machine::RegisterFileConfig::large_config();
+  const machine::Floorplan fp(cfg);
+  const power::PowerModel power(cfg);
+  Rng rng(3);
+  std::vector<double> temps(fp.num_registers());
+  for (double& t : temps) {
+    t = rng.uniform(330.0, 370.0);
+  }
+  std::vector<double> out(temps.size());
+  for (auto _ : state) {
+    power.leakage_power(fp, temps, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(temps.size()));
+  state.SetLabel(std::to_string(temps.size()) + " cells");
+}
+BENCHMARK(BM_Leakage)->Arg(64)->Arg(128);
 
 void BM_Liveness(benchmark::State& state) {
   workload::RandomProgramConfig cfg;

@@ -1,13 +1,13 @@
 #include "machine/technology.hpp"
 
-#include <cmath>
-
+#include "support/exp_kernel.hpp"
 #include "support/serialize.hpp"
 
 namespace tadfa::machine {
 
 double TechnologyParams::leakage_at(double t_k) const {
-  return leakage_ref_w * std::exp(leakage_temp_coeff * (t_k - leakage_ref_temp_k));
+  return leakage_ref_w *
+         exp_kernel(leakage_temp_coeff * (t_k - leakage_ref_temp_k));
 }
 
 RegisterFileConfig RegisterFileConfig::small_config() {

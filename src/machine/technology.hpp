@@ -62,7 +62,9 @@ struct TechnologyParams {
   double cycle_seconds() const { return 1.0 / clock_hz; }
   double cell_area_m2() const { return cell_width_m * cell_height_m; }
 
-  /// Leakage power of one cell at temperature `t_k`.
+  /// Leakage power of one cell at temperature `t_k`. exp is the libm-free
+  /// kernel in support/exp_kernel.hpp (within 1 ULP, the same bits on
+  /// every host); PowerModel::leakage_power matches this bit for bit.
   double leakage_at(double t_k) const;
 
   /// Order-sensitive hash of every coefficient. Any parameter change

@@ -1,6 +1,7 @@
 #include "power/model.hpp"
 
 #include "support/assert.hpp"
+#include "support/exp_kernel.hpp"
 #include "support/serialize.hpp"
 
 namespace tadfa::power {
@@ -37,15 +38,27 @@ void PowerModel::leakage_power(const machine::Floorplan& floorplan,
                                const std::vector<bool>& gated_banks) const {
   TADFA_ASSERT(temps_k.size() == floorplan.num_registers());
   TADFA_ASSERT(out.size() == temps_k.size());
-  for (machine::PhysReg r = 0; r < temps_k.size(); ++r) {
-    double p = config_.tech.leakage_at(temps_k[r]);
-    if (!gated_banks.empty()) {
-      const std::uint32_t bank = floorplan.bank_of(r);
-      if (bank < gated_banks.size() && gated_banks[bank]) {
-        p *= gated_leakage_fraction;
-      }
+  // TechnologyParams::leakage_at's expression, operation for operation,
+  // so each entry equals leakage_at(temps_k[r]) bit for bit.
+  const machine::TechnologyParams& tech = config_.tech;
+  const double ref_w = tech.leakage_ref_w;
+  const double coeff = tech.leakage_temp_coeff;
+  const double ref_k = tech.leakage_ref_temp_k;
+  const double* t = temps_k.data();
+  double* p = out.data();
+  const std::size_t n = temps_k.size();
+#pragma omp simd
+  for (std::size_t r = 0; r < n; ++r) {
+    p[r] = ref_w * exp_kernel(coeff * (t[r] - ref_k));
+  }
+  if (gated_banks.empty()) {
+    return;
+  }
+  for (machine::PhysReg r = 0; r < n; ++r) {
+    const std::uint32_t bank = floorplan.bank_of(r);
+    if (bank < gated_banks.size() && gated_banks[bank]) {
+      p[r] *= gated_leakage_fraction;
     }
-    out[r] = p;
   }
 }
 
@@ -77,9 +90,12 @@ double PowerModel::trace_energy(const AccessTrace& trace, double temp_k,
 std::uint64_t PowerModel::config_digest() const {
   // Distinguish the power model's view of a config from the floorplan's:
   // equal configs still hash differently per consumer, so a key mixes
-  // both without the two digests cancelling structure.
+  // both without the two digests cancelling structure. The marker names
+  // the leakage exp kernel: its low bits are not glibc's, so keys minted
+  // with std::exp never match.
   return Hasher(0x704f574552ull /* "pPOWER" */)
       .mix(config_.config_digest())
+      .mix(std::string_view{"leakage exp kernel"})
       .digest();
 }
 

@@ -7,6 +7,11 @@
 // The exponential leakage closes the electrothermal loop: hotter cells leak
 // more, which is why homogenizing the map "improves reliability by
 // decreasing leakage" (Sec. 4).
+//
+// exp is support/exp_kernel.hpp's kernel, not libm's: within 1 ULP, one
+// fixed operation order, so every host gives the same bits. leakage_power
+// runs it as one vectorized pass over the registers and equals
+// TechnologyParams::leakage_at entry for entry, bit for bit.
 #pragma once
 
 #include <span>

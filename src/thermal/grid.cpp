@@ -14,7 +14,7 @@ namespace tadfa::thermal {
 
 bool ThermalGrid::supports(const machine::RegisterFileConfig& rf,
                            std::uint64_t subdivision) {
-  constexpr std::uint64_t kMaxNodes = std::numeric_limits<std::int32_t>::max();
+  constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 20;
   const std::uint64_t cells = std::uint64_t{rf.rows} * rf.cols;
   // cells·s² <= kMaxNodes, written so that nothing overflows.
   return subdivision >= 1 && cells >= 1 &&
@@ -209,9 +209,8 @@ void ThermalGrid::euler(std::vector<double>& temps,
   const auto row = static_cast<std::ptrdiff_t>(node_cols_);
   for (int s = 0; s < substeps; ++s) {
     // The original scalar loop's per-node order: p + g_v·(T_sub − t), then
-    // the W/E/N/S links in turn. Results match it bit-for-bit wherever
-    // the compiler does not contract into FMA (x86-64 baseline codegen
-    // has no FMA).
+    // the W/E/N/S links in turn. Results match it bit-for-bit: the
+    // library builds with -ffp-contract=off, so no step fuses into an FMA.
 #pragma omp simd
     for (std::ptrdiff_t i = 0; i < nodes; ++i) {
       const double ti = t[i];

@@ -59,9 +59,11 @@ class ThermalGrid {
   /// subdivision²). Must satisfy supports().
   ThermalGrid(const machine::Floorplan& floorplan, unsigned subdivision = 1);
 
-  /// Whether a grid over `rf` at `subdivision` can be built: the node
-  /// count must fit in an int32. That bound is the `--subdivision` limit
-  /// the CLI and server validate.
+  /// Whether a grid over `rf` at `subdivision` can be built: at most 2^20
+  /// nodes, so s <= 128 on the 8×8 default file and s <= 90 on the 8×16
+  /// one. Building a grid at the cap and taking one step peaks at about
+  /// 125 MB, where s = 4000 on the default file would ask for tens of GB.
+  /// That bound is the `--subdivision` limit the CLI and server validate.
   static bool supports(const machine::RegisterFileConfig& rf,
                        std::uint64_t subdivision);
 

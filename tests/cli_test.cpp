@@ -112,7 +112,8 @@ constexpr const char* kNarrowingFlags[] = {
 TEST(CliTest, BadThermalFlagsAreUsageErrors) {
   for (const char* flag :
        {"--delta=0", "--delta=-1", "--delta=nan", "--delta=inf",
-        "--subdivision=0", "--subdivision=6000"}) {
+        "--subdivision=0", "--subdivision=91", "--subdivision=4000",
+        "--subdivision=6000"}) {
     expect_usage_exit(std::string(flag) + " crc32");
   }
   for (const char* flag : kNarrowingFlags) {
@@ -219,13 +220,13 @@ TEST(CliTest, ServeRejectsBadThermalFlagsBeforeBinding) {
                       ("tadfa-cli-test-" + std::to_string(::getpid()) +
                        ".sock");
   // serve builds every other machine lazily at the same subdivision, so
-  // 5000, which fits the default 8x8 file but not the 8x16 'large' one,
-  // is refused too. The unknown machine name keeps a regression cheap:
+  // 91, which fits the default 8x8 file but not the 8x16 'large' one, is
+  // refused too. The unknown machine name keeps a regression cheap:
   // without the parse-time bound the command fails on the name (with no
-  // usage text) instead of building a billion-node grid.
+  // usage text) instead of building a grid past the node cap.
   for (const char* flags :
        {"--delta=0", "--delta=-1", "--delta=nan", "--subdivision=6000",
-        "--machine=no-such-machine --subdivision=5000"}) {
+        "--machine=no-such-machine --subdivision=91"}) {
     expect_usage_exit("serve --socket=" + socket.string() + " " + flags);
     EXPECT_FALSE(std::filesystem::exists(socket)) << flags;
   }

@@ -284,11 +284,12 @@ TEST(MachineDigestsGrid, DefaultMachineKeepsPreMatrixKeys) {
             pipeline::ResultCache::context_digest(legacy));
 
   // Literal digests: keys move only with a marked model change, such as
-  // the propagator marker in ThermalGrid::config_digest(), never by
+  // the propagator marker in ThermalGrid::config_digest() or the
+  // "leakage exp kernel" marker in PowerModel::config_digest(), never by
   // accident.
   EXPECT_EQ(grid.config_digest(), 0xb8804240588a04a0ull);
   EXPECT_EQ(pipeline::ResultCache::context_digest(rig.context()),
-            0x7a88aa5d7bd0fefaull);
+            0x884ab13baf33afd4ull);
 }
 
 TEST(MachineDigestsGrid, EveryMachineHasADistinctContextDigest) {

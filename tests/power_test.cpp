@@ -2,8 +2,15 @@
 // temperature-dependent leakage, gating, trace energy.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+
+#include "machine/machine_config.hpp"
 #include "power/access_trace.hpp"
 #include "power/model.hpp"
+#include "support/rng.hpp"
 
 namespace tadfa::power {
 namespace {
@@ -101,6 +108,62 @@ TEST(PowerModel, GatedBankLeaksFraction) {
     } else {
       EXPECT_NEAR(p[r], nominal, 1e-15);
     }
+  }
+}
+
+TEST(PowerModel, LeakagePowerEqualsLeakageAtBitForBit) {
+  // leakage_power's vectorized loop and leakage_at's scalar call run the
+  // same kernel. 1, 7 and 64 registers cover the vector body and the
+  // remainder at every vector width; the last temperatures drive the
+  // kernel's overflow, underflow and NaN lanes.
+  Rng rng(5);
+  for (const auto& [rows, cols] :
+       {std::pair{1u, 1u}, std::pair{1u, 7u}, std::pair{8u, 8u}}) {
+    machine::RegisterFileConfig c;
+    c.num_registers = rows * cols;
+    c.rows = rows;
+    c.cols = cols;
+    c.banks = 1;
+    ASSERT_TRUE(c.valid());
+    const machine::Floorplan fp(c);
+    const PowerModel m(c);
+    std::vector<double> temps(c.num_registers);
+    for (double& t : temps) {
+      t = rng.uniform(300.0, 420.0);
+    }
+    if (temps.size() >= 7) {
+      temps[2] = 1e6;
+      temps[3] = -1e6;
+      temps[4] = std::numeric_limits<double>::quiet_NaN();
+      temps[5] = c.tech.leakage_ref_temp_k;
+    }
+    const auto p = m.leakage_power(fp, temps);
+    for (std::size_t r = 0; r < temps.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(p[r]),
+                std::bit_cast<std::uint64_t>(c.tech.leakage_at(temps[r])))
+          << c.num_registers << " registers, r = " << r;
+    }
+  }
+}
+
+TEST(PowerModel, LeakageBitsAreRecorded) {
+  // The kernel's bits, fixed on every host and -march. 341 K on default
+  // and 344.25 K on dense45 are one ULP away from glibc's exp.
+  const std::pair<double, std::uint64_t> kDefault[] = {
+      {320.0, 0x3ee78361e8f874c9ull}, {341.0, 0x3ef3dfc259116c27ull},
+      {351.7, 0x3ef9f8247adb192full}, {390.0, 0x3f10e9e4f0ff2529ull}};
+  const std::pair<double, std::uint64_t> kDense45[] = {
+      {320.0, 0x3ef67ebbfa2681d9ull}, {344.25, 0x3f08702f491aec35ull},
+      {351.7, 0x3f0f0474609efa00ull}, {390.0, 0x3f2a69b65dbc506cull}};
+  const auto& default_tech = machine::find_machine("default")->rf.tech;
+  const auto& dense45_tech = machine::find_machine("dense45")->rf.tech;
+  for (const auto& [t, bits] : kDefault) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(default_tech.leakage_at(t)), bits)
+        << "default at " << t << " K";
+  }
+  for (const auto& [t, bits] : kDense45) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dense45_tech.leakage_at(t)), bits)
+        << "dense45 at " << t << " K";
   }
 }
 

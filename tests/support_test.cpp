@@ -1,12 +1,15 @@
 // Unit tests for src/support: RNG, statistics, bitset, tables, heat maps,
-// string utilities.
+// string utilities, the exp kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "support/bitset.hpp"
+#include "support/exp_kernel.hpp"
 #include "support/heatmap.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
@@ -400,6 +403,62 @@ TEST(Strings, ParseDoubleStrict) {
   EXPECT_TRUE(parse_double("2.5", v));
   EXPECT_DOUBLE_EQ(v, 2.5);
   EXPECT_FALSE(parse_double("2.5z", v));
+}
+
+// ---------------------------------------------------------- exp kernel ----
+
+TEST(ExpKernel, WithinOneUlpOfExpl) {
+  Rng rng(20);
+  for (const auto& [lo, hi] : {std::pair{-20.0, 20.0}, {-708.0, 709.78}}) {
+    for (int i = 0; i < 200000; ++i) {
+      const double x = rng.uniform(lo, hi);
+      const long double exact = std::exp(static_cast<long double>(x));
+      // One ULP of the exact value's binade (the upper one at a tie).
+      int e = 0;
+      std::frexp(static_cast<double>(exact), &e);
+      const long double ulp = std::ldexp(1.0L, e - 53);
+      ASSERT_LE(std::fabs(exp_kernel(x) - exact), ulp)
+          << std::hexfloat << "x = " << x;
+    }
+  }
+}
+
+TEST(ExpKernel, SpecialValuesMatchStdExpClass) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kStep = std::numeric_limits<double>::denorm_min();
+  // The largest x with a finite exp and the next double; the smallest x
+  // with a nonzero exp and the next one down.
+  for (const double x :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 0.0, -0.0,
+        0x1.62e42fefa39efp+9, 0x1.62e42fefa39f0p+9, 710.0, 746.0, 1e300,
+        std::numeric_limits<double>::max(), -0x1.74910d52d3051p+9,
+        -0x1.74910d52d3052p+9, -745.13, -746.0, -1e300,
+        -std::numeric_limits<double>::max(), kStep, -kStep}) {
+    const double want = std::exp(x);
+    const double got = exp_kernel(x);
+    EXPECT_EQ(std::fpclassify(got), std::fpclassify(want))
+        << std::hexfloat << "x = " << x << ": " << got << " vs " << want;
+    if (std::isfinite(want) && want < 1.0) {
+      EXPECT_LE(std::fabs(got - want), kStep) << std::hexfloat << x;
+    }
+  }
+  EXPECT_EQ(exp_kernel(0.0), 1.0);
+  EXPECT_EQ(exp_kernel(-0.0), 1.0);
+}
+
+TEST(ExpKernel, SubnormalResultsWithinOneStep) {
+  // exp is subnormal from x ≈ −708.4 down to −745.13, where it rounds
+  // to the smallest subnormal; the kernel rounds twice there.
+  constexpr double kStep = std::numeric_limits<double>::denorm_min();
+  Rng rng(21);
+  for (int i = 0; i < 200000; ++i) {
+    const double x = rng.uniform(-745.13, -708.4);
+    const double want = std::exp(x);
+    const double got = exp_kernel(x);
+    ASSERT_EQ(std::fpclassify(got), std::fpclassify(want))
+        << std::hexfloat << "x = " << x;
+    ASSERT_LE(std::fabs(got - want), kStep) << std::hexfloat << "x = " << x;
+  }
 }
 
 }  // namespace

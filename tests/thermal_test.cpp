@@ -365,14 +365,19 @@ TEST(ThermalGrid, MaxStableDtPositiveAndScaleDependent) {
   EXPECT_LT(g2.max_stable_dt(), g1.max_stable_dt());
 }
 
-TEST(ThermalGrid, SupportsBoundsNodeCountToInt32) {
-  // large: 8x16 cells, so 128·s² nodes; 128·4096² = 2^31 is one too many.
+TEST(ThermalGrid, SupportsCapsNodeCountAt2To20) {
+  // large: 8x16 cells, so 128·s² nodes; 128·90² = 1,036,800 fits and
+  // 128·91² = 1,059,968 is past 2^20. default: 64·128² = 2^20 exactly.
   const auto large = machine::RegisterFileConfig::large_config();
   EXPECT_TRUE(ThermalGrid::supports(large, 1));
-  EXPECT_TRUE(ThermalGrid::supports(large, 4095));
-  EXPECT_FALSE(ThermalGrid::supports(large, 4096));
+  EXPECT_TRUE(ThermalGrid::supports(large, 90));
+  EXPECT_FALSE(ThermalGrid::supports(large, 91));
+  EXPECT_FALSE(ThermalGrid::supports(large, 4000));
   EXPECT_FALSE(ThermalGrid::supports(large, 0));
   EXPECT_FALSE(ThermalGrid::supports(large, std::uint64_t{1} << 40));
+  const auto dflt = machine::RegisterFileConfig::default_config();
+  EXPECT_TRUE(ThermalGrid::supports(dflt, 128));
+  EXPECT_FALSE(ThermalGrid::supports(dflt, 129));
 }
 
 TEST(ThermalGrid, StepWithZeroDtIsIdentity) {
