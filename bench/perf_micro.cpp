@@ -199,7 +199,8 @@ BENCHMARK(BM_SteadyState)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // --- PowerModel::leakage_power: one vectorized pass of the exp kernel -------
 // The thermal DFA calls it once per transfer on every register of the
-// file: 64 cells on the default floorplan, 128 on the large one.
+// file (64 cells on the default floorplan, 128 on the large one), adding
+// the instruction's dynamic power in the same pass.
 void BM_Leakage(benchmark::State& state) {
   const auto cfg = state.range(0) == 64
                        ? machine::RegisterFileConfig::default_config()
@@ -211,9 +212,10 @@ void BM_Leakage(benchmark::State& state) {
   for (double& t : temps) {
     t = rng.uniform(330.0, 370.0);
   }
+  const std::vector<double> dynamic(temps.size(), 1e-4);
   std::vector<double> out(temps.size());
   for (auto _ : state) {
-    power.leakage_power(fp, temps, out);
+    power.leakage_power(fp, temps, dynamic, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

@@ -10,6 +10,7 @@
 
 #include "pipeline/analysis_manager.hpp"
 #include "support/assert.hpp"
+#include "support/target_clones.hpp"
 
 namespace tadfa::core {
 namespace {
@@ -43,6 +44,32 @@ void instruction_power(const ir::Instruction& inst,
   if (auto d = inst.def()) {
     add(*d, tech.write_energy_j);
   }
+}
+
+/// Fig. 2's change of one instruction: the largest |cur[r] − prev[r]|,
+/// skipping NaN as std::max(change, d) does. kLanes independent running
+/// maxima replace one n-long dependent chain. Each lane skips NaN the
+/// same way and |x| is never −0, so every maximum taken is over values
+/// without NaN or −0, which no order changes: the result equals that
+/// chain's bit for bit.
+TADFA_TARGET_CLONES
+double max_abs_change(const double* cur, const double* prev, std::size_t n) {
+  constexpr std::size_t kLanes = 8;
+  double lane[kLanes] = {};
+  std::size_t r = 0;
+  for (; r + kLanes <= n; r += kLanes) {
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      lane[k] = std::max(lane[k], std::abs(cur[r + k] - prev[r + k]));
+    }
+  }
+  for (; r < n; ++r) {
+    lane[0] = std::max(lane[0], std::abs(cur[r] - prev[r]));
+  }
+  double change = 0.0;
+  for (const double m : lane) {
+    change = std::max(change, m);
+  }
+  return change;
 }
 
 }  // namespace
@@ -140,7 +167,6 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
   thermal::ThermalState state;
   std::vector<double> weights;
   std::vector<double> entry_temps(n_phys);
-  std::vector<double> leak(n_phys);
   std::vector<double> power(n_phys);
 
   // --- Fig. 2 main loop ------------------------------------------------------
@@ -228,22 +254,16 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       for (std::size_t dense = first; dense < end; ++dense) {
         std::span<const double> p(&dyn_power[dense * n_phys], n_phys);
         if (config_.include_leakage) {
-          power_->leakage_power(fp, {reg_temps, n_phys}, leak);
-          for (std::uint32_t r = 0; r < n_phys; ++r) {
-            power[r] = p[r] + leak[r];
-          }
+          power_->leakage_power(fp, {reg_temps, n_phys}, p, power);
           p = power;
         }
         grid_->step(state, p, window_s[dense]);
 
         // δ test against the previous iteration's state after I.
         double* cur = &cur_temps[dense * n_phys];
-        const double* prev = &prev_temps[dense * n_phys];
         grid_->register_temps(state, {cur, n_phys});
-        double change = 0.0;
-        for (std::uint32_t r = 0; r < n_phys; ++r) {
-          change = std::max(change, std::abs(cur[r] - prev[r]));
-        }
+        const double change =
+            max_abs_change(cur, &prev_temps[dense * n_phys], n_phys);
         iteration_delta = std::max(iteration_delta, change);
         if (change > config_.delta_k) {
           stop = false;

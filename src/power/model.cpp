@@ -3,6 +3,7 @@
 #include "support/assert.hpp"
 #include "support/exp_kernel.hpp"
 #include "support/serialize.hpp"
+#include "support/target_clones.hpp"
 
 namespace tadfa::power {
 
@@ -27,38 +28,43 @@ std::vector<double> PowerModel::dynamic_power(
 std::vector<double> PowerModel::leakage_power(
     const machine::Floorplan& floorplan, std::span<const double> temps_k,
     const std::vector<bool>& gated_banks) const {
-  std::vector<double> out(temps_k.size());
-  leakage_power(floorplan, temps_k, out, gated_banks);
+  // −0 is the additive identity: −0 + x is x for every x, ±0 and NaN
+  // included, so this is the leakage alone, bit for bit.
+  std::vector<double> out(temps_k.size(), -0.0);
+  leakage_power(floorplan, temps_k, out, out);
+  if (gated_banks.empty()) {
+    return out;
+  }
+  for (machine::PhysReg r = 0; r < out.size(); ++r) {
+    const std::uint32_t bank = floorplan.bank_of(r);
+    if (bank < gated_banks.size() && gated_banks[bank]) {
+      out[r] *= gated_leakage_fraction;
+    }
+  }
   return out;
 }
 
+TADFA_TARGET_CLONES
 void PowerModel::leakage_power(const machine::Floorplan& floorplan,
                                std::span<const double> temps_k,
-                               std::span<double> out,
-                               const std::vector<bool>& gated_banks) const {
+                               std::span<const double> base_w,
+                               std::span<double> out) const {
   TADFA_ASSERT(temps_k.size() == floorplan.num_registers());
+  TADFA_ASSERT(base_w.size() == temps_k.size());
   TADFA_ASSERT(out.size() == temps_k.size());
   // TechnologyParams::leakage_at's expression, operation for operation,
-  // so each entry equals leakage_at(temps_k[r]) bit for bit.
+  // so each entry's leakage equals leakage_at(temps_k[r]) bit for bit.
   const machine::TechnologyParams& tech = config_.tech;
   const double ref_w = tech.leakage_ref_w;
   const double coeff = tech.leakage_temp_coeff;
   const double ref_k = tech.leakage_ref_temp_k;
   const double* t = temps_k.data();
+  const double* b = base_w.data();
   double* p = out.data();
   const std::size_t n = temps_k.size();
 #pragma omp simd
   for (std::size_t r = 0; r < n; ++r) {
-    p[r] = ref_w * exp_kernel(coeff * (t[r] - ref_k));
-  }
-  if (gated_banks.empty()) {
-    return;
-  }
-  for (machine::PhysReg r = 0; r < n; ++r) {
-    const std::uint32_t bank = floorplan.bank_of(r);
-    if (bank < gated_banks.size() && gated_banks[bank]) {
-      p[r] *= gated_leakage_fraction;
-    }
+    p[r] = b[r] + ref_w * exp_kernel(coeff * (t[r] - ref_k));
   }
 }
 

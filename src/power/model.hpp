@@ -10,8 +10,12 @@
 //
 // exp is support/exp_kernel.hpp's kernel, not libm's: within 1 ULP, one
 // fixed operation order, so every host gives the same bits. leakage_power
-// runs it as one vectorized pass over the registers and equals
-// TechnologyParams::leakage_at entry for entry, bit for bit.
+// runs it as one vectorized pass over the registers, with the dynamic
+// power added in the same pass, and equals TechnologyParams::leakage_at
+// entry for entry, bit for bit. That pass is built for AVX-512, AVX2 and
+// baseline x86-64 (support/target_clones.hpp); the width cannot move a
+// bit, since each lane runs the kernel's own operations in its own order
+// and -ffp-contract=off keeps every product and sum rounded on its own.
 #pragma once
 
 #include <span>
@@ -41,10 +45,15 @@ class PowerModel {
   std::vector<double> leakage_power(
       const machine::Floorplan& floorplan, std::span<const double> temps_k,
       const std::vector<bool>& gated_banks = {}) const;
-  /// The same, written into `out` (one entry per register).
+  /// Per-register power with no bank gated: `base_w[r]` plus the leakage at
+  /// `temps_k[r]`, written into `out` in one pass (the thermal DFA's
+  /// per-transfer power). Each entry is bit for bit
+  /// base_w[r] + leakage_power(floorplan, temps_k)[r]. `base_w` may be
+  /// `out` itself.
   void leakage_power(const machine::Floorplan& floorplan,
-                     std::span<const double> temps_k, std::span<double> out,
-                     const std::vector<bool>& gated_banks = {}) const;
+                     std::span<const double> temps_k,
+                     std::span<const double> base_w,
+                     std::span<double> out) const;
 
   /// Residual leakage fraction of a gated bank (state-retentive sleep).
   static constexpr double gated_leakage_fraction = 0.05;

@@ -6,6 +6,10 @@
 // (an FMA build on FMA hosts), which no cache key can see. This kernel is
 // one fixed sequence of IEEE operations: built with -ffp-contract=off it
 // gives the same bits on every host, scalar or vectorized at any width.
+// Width-independence is what lets PowerModel::leakage_power run it in
+// AVX-512, AVX2 and SSE2 clones of one loop: each lane is one argument,
+// and no step reads another lane, rounds to a width-dependent type or
+// calls out of the kernel, so every clone returns the scalar call's bits.
 //
 // Method: x = n·ln2/32 + r with n = 32k + j and |r| <= ln2/64, so
 // exp(x) = 2^k · 2^(j/32) · exp(r).

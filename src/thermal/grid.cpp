@@ -1,6 +1,7 @@
 #include "thermal/grid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +10,7 @@
 
 #include "support/assert.hpp"
 #include "support/serialize.hpp"
+#include "support/target_clones.hpp"
 
 namespace tadfa::thermal {
 
@@ -180,6 +182,7 @@ void ThermalGrid::step(ThermalState& state,
   }
 }
 
+TADFA_TARGET_CLONES
 void ThermalGrid::euler(std::vector<double>& temps,
                         const std::vector<double>& p, int substeps,
                         double h) const {
@@ -312,18 +315,43 @@ std::vector<double> ThermalGrid::register_temps(
   return out;
 }
 
+TADFA_TARGET_CLONES
 void ThermalGrid::register_temps(const ThermalState& state,
                                  std::span<double> out) const {
   TADFA_ASSERT(state.node_temps.size() == node_count());
   TADFA_ASSERT(out.size() == floorplan_->num_registers());
   const double* t = state.node_temps.data();
+  const std::size_t* nodes = cell_nodes_.data();
+  double* o = out.data();
+  const std::size_t regs = out.size();
   const std::size_t per_cell = std::size_t{subdivision_} * subdivision_;
-  for (std::size_t r = 0; r < out.size(); ++r) {
+  // Each cell's sum runs from +0 in node order, then is divided by s².
+  // x/1 is x, and x/2^k is x·2^−k for every x (both round the same exact
+  // value), so only an s² that is not a power of two keeps its division.
+  if (per_cell == 1) {
+#pragma omp simd
+    for (std::size_t r = 0; r < regs; ++r) {
+      o[r] = 0.0 + t[nodes[r]];
+    }
+    return;
+  }
+  auto cell_sum = [&](std::size_t r) {
     double sum = 0.0;
     for (std::size_t j = r * per_cell; j < (r + 1) * per_cell; ++j) {
-      sum += t[cell_nodes_[j]];
+      sum += t[nodes[j]];
     }
-    out[r] = sum / static_cast<double>(per_cell);
+    return sum;
+  };
+  const auto divisor = static_cast<double>(per_cell);
+  if (std::has_single_bit(per_cell)) {
+    const double reciprocal = 1.0 / divisor;
+    for (std::size_t r = 0; r < regs; ++r) {
+      o[r] = cell_sum(r) * reciprocal;
+    }
+  } else {
+    for (std::size_t r = 0; r < regs; ++r) {
+      o[r] = cell_sum(r) / divisor;
+    }
   }
 }
 

@@ -35,6 +35,15 @@
 //     config_digest() carries a propagator marker.
 //
 // steady_state() is the same map at n = ∞: an exact solve.
+//
+// The Euler loop and the register readout are each built for AVX-512,
+// AVX2 and baseline x86-64, and the process runs the clone its CPU
+// supports (support/target_clones.hpp). The width cannot move a bit:
+// every lane runs its own node's (or cell's) operations in the scalar
+// order, no two lanes' values are ever combined, and -ffp-contract=off
+// keeps each product and sum rounded on its own. The readout divides a
+// cell's node sum by s² only when s² is not a power of two: x/1 is x,
+// and x·2^−k rounds the same exact value as x/2^k.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/access_model.hpp"
 #include "ir/builder.hpp"
@@ -24,6 +26,7 @@
 #include "sim/thermal_replay.hpp"
 #include "support/serialize.hpp"
 #include "support/statistics.hpp"
+#include "support/target_clones.hpp"
 #include "workload/kernels.hpp"
 #include "workload/random_program.hpp"
 
@@ -766,6 +769,86 @@ TEST(ThermalDfa, MatchesReferenceLoopBitForBit) {
     }
   }
   EXPECT_EQ(compared, 3u * funcs.size() * (8u + 1u));
+}
+
+/// The ifunc clone of the DFA's hot loops that this process runs.
+std::string dispatched_clone() {
+#if TADFA_HAS_TARGET_CLONES
+  if (__builtin_cpu_supports("x86-64-v4")) {
+    return "x86-64-v4";
+  }
+  if (__builtin_cpu_supports("x86-64-v3")) {
+    return "x86-64-v3";
+  }
+  return "default";
+#else
+  return "none (built without clones)";
+#endif
+}
+
+TEST(ThermalDfa, KeepsRecordedBitsOnEveryClone) {
+  // MatchesReferenceLoopBitForBit builds its reference from the same
+  // dispatched loops, so it cannot tell an AVX-512 or AVX2 clone from
+  // the baseline one. These digests of analyze()'s result bits (every
+  // per-instruction temperature, the exit temperatures, the δ history,
+  // the iteration count and the rest of result_bits) were recorded by a
+  // baseline x86-64 build before the loops had clones; every clone must
+  // give them. Only functions whose windows all stay below step()'s modal
+  // cutoff (max(64, node rows + node cols) substeps) are digested, so no
+  // bit comes from libm's pow or cos, which glibc picks per host.
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "literals recorded on x86-64";
+#endif
+  RecordProperty("dispatched_clone", dispatched_clone());
+  auto parsed =
+      frontend::find_frontend("kernels")->parse("mixed:functions=8,seed=7");
+  ASSERT_TRUE(parsed.ok()) << parsed.diagnostics_text();
+  const machine::MachineConfig* mc = machine::find_machine("default");
+  ASSERT_NE(mc, nullptr);
+  const machine::Floorplan fp(mc->rf);
+  const power::PowerModel power(fp.config());
+  const machine::TimingModel timing;
+  auto policy = regalloc::make_policy("first_free");
+  regalloc::LinearScanAllocator allocator(fp, *policy);
+  // {subdivision, digest, functions digested}. At s = 3 one window of
+  // matmul_2 takes 159 substeps, past the cutoff of 64, so that function
+  // is left out there.
+  const std::tuple<unsigned, std::uint64_t, std::size_t> expected[] = {
+      {1u, 0xec9fa612f2b1b70full, 8u},
+      {3u, 0xbf2d52d808caee99ull, 7u},
+  };
+  for (const auto& [sub, digest, digested] : expected) {
+    const thermal::ThermalGrid grid(fp, sub);
+    const ThermalDfa dfa(grid, power, timing);
+    const double modal_cutoff = std::max<double>(
+        64.0, static_cast<double>((fp.rows() + fp.cols()) * sub));
+    Hasher h;
+    std::size_t functions = 0;
+    for (const ir::Function& f : parsed.module->functions()) {
+      const auto alloc = allocator.allocate(f);
+      pipeline::AnalysisManager am;
+      const std::vector<double>& freq = pipeline::block_frequencies(
+          am, alloc.func, dfa.config().trip_count_guess);
+      double longest = 0.0;
+      for (const ir::BasicBlock& b : alloc.func.blocks()) {
+        for (const ir::Instruction& inst : b.instructions()) {
+          const double dt = static_cast<double>(timing.cycles(inst)) *
+                            fp.config().tech.cycle_seconds() *
+                            std::max(freq[b.id()], 1e-12);
+          longest = std::max(longest, std::ceil(dt / grid.max_stable_dt()));
+        }
+      }
+      if (longest >= modal_cutoff) {
+        continue;
+      }
+      ++functions;
+      h.mix(result_bits(
+          dfa.analyze_post_ra(alloc.func, alloc.assignment, am)));
+    }
+    EXPECT_EQ(functions, digested) << "s=" << sub;
+    EXPECT_EQ(h.digest(), digest)
+        << "s=" << sub << " digest 0x" << std::hex << h.digest();
+  }
 }
 
 }  // namespace

@@ -112,36 +112,46 @@ TEST(PowerModel, GatedBankLeaksFraction) {
 }
 
 TEST(PowerModel, LeakagePowerEqualsLeakageAtBitForBit) {
-  // leakage_power's vectorized loop and leakage_at's scalar call run the
-  // same kernel. 1, 7 and 64 registers cover the vector body and the
-  // remainder at every vector width; the last temperatures drive the
-  // kernel's overflow, underflow and NaN lanes.
+  // leakage_power's vectorized pass (the host's clone of it) and
+  // leakage_at's scalar call run the same kernel. The register counts put
+  // the vector body and the remainder at every width (2, 4 and 8 lanes)
+  // through it; each special temperature, at both ends of the file,
+  // drives the kernel's NaN, overflow (+inf) and underflow (0) lanes.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(5);
-  for (const auto& [rows, cols] :
-       {std::pair{1u, 1u}, std::pair{1u, 7u}, std::pair{8u, 8u}}) {
+  for (const std::uint32_t n :
+       {1u, 2u, 3u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u, 65u, 127u, 128u}) {
     machine::RegisterFileConfig c;
-    c.num_registers = rows * cols;
-    c.rows = rows;
-    c.cols = cols;
+    c.num_registers = n;
+    c.rows = 1;
+    c.cols = n;
     c.banks = 1;
     ASSERT_TRUE(c.valid());
     const machine::Floorplan fp(c);
     const PowerModel m(c);
-    std::vector<double> temps(c.num_registers);
-    for (double& t : temps) {
-      t = rng.uniform(300.0, 420.0);
-    }
-    if (temps.size() >= 7) {
-      temps[2] = 1e6;
-      temps[3] = -1e6;
-      temps[4] = std::numeric_limits<double>::quiet_NaN();
-      temps[5] = c.tech.leakage_ref_temp_k;
-    }
-    const auto p = m.leakage_power(fp, temps);
-    for (std::size_t r = 0; r < temps.size(); ++r) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(p[r]),
-                std::bit_cast<std::uint64_t>(c.tech.leakage_at(temps[r])))
-          << c.num_registers << " registers, r = " << r;
+    for (const double special :
+         {kNaN, kInf, -kInf, 0.0, 1e6, -1e6, c.tech.leakage_ref_temp_k}) {
+      std::vector<double> temps(n);
+      std::vector<double> dynamic(n);
+      for (std::size_t r = 0; r < n; ++r) {
+        temps[r] = rng.uniform(300.0, 420.0);
+        dynamic[r] = rng.uniform(0.0, 0.02);
+      }
+      temps.front() = special;
+      temps.back() = special;
+      const auto leak = m.leakage_power(fp, temps);
+      std::vector<double> total(n);
+      m.leakage_power(fp, temps, dynamic, total);
+      for (std::size_t r = 0; r < n; ++r) {
+        const double want = c.tech.leakage_at(temps[r]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(leak[r]),
+                  std::bit_cast<std::uint64_t>(want))
+            << n << " registers, r = " << r << ", T = " << temps[r];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(total[r]),
+                  std::bit_cast<std::uint64_t>(dynamic[r] + want))
+            << n << " registers, r = " << r << ", T = " << temps[r];
+      }
     }
   }
 }

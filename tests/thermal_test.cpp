@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -328,6 +329,43 @@ TEST(ThermalGrid, NodesOfPartitionTheGrid) {
   }
   for (int c : owner_count) {
     EXPECT_EQ(c, 1);
+  }
+}
+
+TEST(ThermalGrid, RegisterTempsIsThePlainCellAverage) {
+  // Each register's temperature is its cell's node sum, taken from +0 in
+  // row-major node order, divided by s², bit for bit, with the node
+  // indices worked out here from the floorplan. s = 1 reads the node
+  // with no division and s = 2, 4 multiply by the exact reciprocal of s²;
+  // s = 3 keeps the division.
+  Rng rng(11);
+  for (const auto& config : {machine::RegisterFileConfig::default_config(),
+                             machine::RegisterFileConfig::large_config()}) {
+    const machine::Floorplan fp(config);
+    for (unsigned sub : {1u, 2u, 3u, 4u}) {
+      const ThermalGrid grid(fp, sub);
+      const std::size_t node_cols = std::size_t{fp.cols()} * sub;
+      ThermalState s = grid.initial_state();
+      for (double& t : s.node_temps) {
+        t = rng.uniform(300.0, 420.0);
+      }
+      const auto temps = grid.register_temps(s);
+      ASSERT_EQ(temps.size(), fp.num_registers());
+      for (machine::PhysReg r = 0; r < fp.num_registers(); ++r) {
+        double sum = 0.0;
+        for (std::size_t dr = 0; dr < sub; ++dr) {
+          for (std::size_t dc = 0; dc < sub; ++dc) {
+            const std::size_t row = std::size_t{fp.row_of(r)} * sub + dr;
+            const std::size_t col = std::size_t{fp.col_of(r)} * sub + dc;
+            sum += s.node_temps[row * node_cols + col];
+          }
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(temps[r]),
+                  std::bit_cast<std::uint64_t>(sum / (sub * sub)))
+            << fp.num_registers() << " registers, s = " << sub
+            << ", r = " << r;
+      }
+    }
   }
 }
 
