@@ -1,7 +1,6 @@
 #include "thermal/grid.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -321,37 +320,28 @@ void ThermalGrid::register_temps(const ThermalState& state,
   TADFA_ASSERT(state.node_temps.size() == node_count());
   TADFA_ASSERT(out.size() == floorplan_->num_registers());
   const double* t = state.node_temps.data();
-  const std::size_t* nodes = cell_nodes_.data();
   double* o = out.data();
   const std::size_t regs = out.size();
   const std::size_t per_cell = std::size_t{subdivision_} * subdivision_;
   // Each cell's sum runs from +0 in node order, then is divided by s².
-  // x/1 is x, and x/2^k is x·2^−k for every x (both round the same exact
-  // value), so only an s² that is not a power of two keeps its division.
+  // At s = 1, x/1 is x, and cell r is node r: the node grid is the
+  // register grid, row-major, so node_index(r / cols, r % cols) == r.
+  // That makes the readout one contiguous pass with no division.
   if (per_cell == 1) {
 #pragma omp simd
     for (std::size_t r = 0; r < regs; ++r) {
-      o[r] = 0.0 + t[nodes[r]];
+      o[r] = 0.0 + t[r];
     }
     return;
   }
-  auto cell_sum = [&](std::size_t r) {
+  const std::size_t* nodes = cell_nodes_.data();
+  const auto divisor = static_cast<double>(per_cell);
+  for (std::size_t r = 0; r < regs; ++r) {
     double sum = 0.0;
     for (std::size_t j = r * per_cell; j < (r + 1) * per_cell; ++j) {
       sum += t[nodes[j]];
     }
-    return sum;
-  };
-  const auto divisor = static_cast<double>(per_cell);
-  if (std::has_single_bit(per_cell)) {
-    const double reciprocal = 1.0 / divisor;
-    for (std::size_t r = 0; r < regs; ++r) {
-      o[r] = cell_sum(r) * reciprocal;
-    }
-  } else {
-    for (std::size_t r = 0; r < regs; ++r) {
-      o[r] = cell_sum(r) / divisor;
-    }
+    o[r] = sum / divisor;
   }
 }
 

@@ -41,9 +41,9 @@
 // supports (support/target_clones.hpp). The width cannot move a bit:
 // every lane runs its own node's (or cell's) operations in the scalar
 // order, no two lanes' values are ever combined, and -ffp-contract=off
-// keeps each product and sum rounded on its own. The readout divides a
-// cell's node sum by s² only when s² is not a power of two: x/1 is x,
-// and x·2^−k rounds the same exact value as x/2^k.
+// keeps each product and sum rounded on its own. At s = 1 the readout
+// reads node r as cell r with no division (x/1 is x); every other s
+// divides each cell's node sum by s².
 #pragma once
 
 #include <cstdint>

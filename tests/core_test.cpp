@@ -786,7 +786,7 @@ std::string dispatched_clone() {
 #endif
 }
 
-TEST(ThermalDfa, KeepsRecordedBitsOnEveryClone) {
+TEST(ThermalDfa, KeepsRecordedBitsOnDispatchedClone) {
   // MatchesReferenceLoopBitForBit builds its reference from the same
   // dispatched loops, so it cannot tell an AVX-512 or AVX2 clone from
   // the baseline one. These digests of analyze()'s result bits (every

@@ -335,9 +335,8 @@ TEST(ThermalGrid, NodesOfPartitionTheGrid) {
 TEST(ThermalGrid, RegisterTempsIsThePlainCellAverage) {
   // Each register's temperature is its cell's node sum, taken from +0 in
   // row-major node order, divided by s², bit for bit, with the node
-  // indices worked out here from the floorplan. s = 1 reads the node
-  // with no division and s = 2, 4 multiply by the exact reciprocal of s²;
-  // s = 3 keeps the division.
+  // indices worked out here from the floorplan. s = 1 reads node r as
+  // cell r with no division; s = 2, 3, 4 divide.
   Rng rng(11);
   for (const auto& config : {machine::RegisterFileConfig::default_config(),
                              machine::RegisterFileConfig::large_config()}) {
