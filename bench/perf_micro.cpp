@@ -48,7 +48,7 @@ void BM_ThermalStep(benchmark::State& state) {
   std::vector<double> p(rig().fp.num_registers(), 1e-4);
   for (auto _ : state) {
     grid.step(s, p, grid.max_stable_dt());
-    benchmark::DoNotOptimize(s.node_temps.data());
+    benchmark::DoNotOptimize(s.nodes().data());
   }
   state.SetLabel(std::to_string(grid.node_count()) + " nodes");
 }
@@ -71,7 +71,7 @@ void BM_ThermalWindow(benchmark::State& state) {
                                  : std::numeric_limits<double>::infinity();
   for (auto _ : state) {
     grid.step(s, p, dt);
-    benchmark::DoNotOptimize(s.node_temps.data());
+    benchmark::DoNotOptimize(s.nodes().data());
   }
   state.SetLabel(std::to_string(grid.node_count()) + " nodes");
 }
@@ -192,7 +192,7 @@ void BM_SteadyState(benchmark::State& state) {
   std::vector<double> p(rig().fp.num_registers(), 1e-4);
   for (auto _ : state) {
     auto s = grid.steady_state(p);
-    benchmark::DoNotOptimize(s.node_temps.data());
+    benchmark::DoNotOptimize(s.nodes().data());
   }
 }
 BENCHMARK(BM_SteadyState)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

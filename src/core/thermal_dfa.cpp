@@ -162,10 +162,14 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
   std::vector<std::uint64_t> out_version(func.block_count(), 0);
   std::vector<std::uint64_t> ran_with(func.block_count(), kNeverRan);
 
-  // Scratch reused by every transfer. reg_temps points at the register
-  // temperatures of `state`: the leakage input of the next instruction.
-  thermal::ThermalState state;
+  // Scratch reused by every transfer. `state` trades places with
+  // out_state[b] after each block run, so every block's entry state is
+  // written into a plane of the grid's layout. reg_temps points at the
+  // register temperatures of `state`: the leakage input of the next
+  // instruction.
+  thermal::ThermalState state = grid_->initial_state();
   std::vector<double> weights;
+  std::vector<const double*> pred_temps;
   std::vector<double> entry_temps(n_phys);
   std::vector<double> power(n_phys);
 
@@ -204,45 +208,50 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
       // (the paper leaves the merge open; the default weighted mean is the
       // expected temperature over incoming paths). The entry block also
       // folds in the boundary (machine at substrate temperature) with unit
-      // weight, which covers the self-loop-into-entry corner case.
-      state.node_temps.assign(grid_->node_count(), grid_->substrate_temp());
+      // weight, which covers the self-loop-into-entry corner case. A
+      // block with no input starts at the substrate temperature.
+      const std::span<double> entry = state.nodes();
+      const double substrate = grid_->substrate_temp();
       const bool include_boundary = b == func.entry();
-      if (!preds.empty() || include_boundary) {
-        const std::size_t nodes = state.node_temps.size();
-        switch (config_.join_mode) {
-          case JoinMode::kWeightedMean:
-          case JoinMode::kUnweightedMean: {
-            double weight_sum = include_boundary ? 1.0 : 0.0;
-            weights.assign(preds.size(), 1.0);
-            for (std::size_t pi = 0; pi < preds.size(); ++pi) {
-              if (config_.join_mode == JoinMode::kWeightedMean) {
-                weights[pi] = std::max(freq[preds[pi]], 1e-12);
-              }
-              weight_sum += weights[pi];
+      pred_temps.clear();
+      for (ir::BlockId p : preds) {
+        pred_temps.push_back(out_state[p].nodes().data());
+      }
+      switch (config_.join_mode) {
+        case JoinMode::kWeightedMean:
+        case JoinMode::kUnweightedMean: {
+          double weight_sum = include_boundary ? 1.0 : 0.0;
+          weights.assign(preds.size(), 1.0);
+          for (std::size_t pi = 0; pi < preds.size(); ++pi) {
+            if (config_.join_mode == JoinMode::kWeightedMean) {
+              weights[pi] = std::max(freq[preds[pi]], 1e-12);
             }
-            if (weight_sum > 0.0) {
-              for (std::size_t n = 0; n < nodes; ++n) {
-                double acc = include_boundary ? grid_->substrate_temp() : 0.0;
-                for (std::size_t pi = 0; pi < preds.size(); ++pi) {
-                  acc += weights[pi] * out_state[preds[pi]].node_temps[n];
-                }
-                state.node_temps[n] = acc / weight_sum;
-              }
-            }
-            break;
+            weight_sum += weights[pi];
           }
-          case JoinMode::kMax: {
-            // Upper envelope; the substrate-temperature initial state is
-            // the floor (it also stands in for the entry boundary).
-            for (std::size_t n = 0; n < nodes; ++n) {
-              double worst = state.node_temps[n];
-              for (ir::BlockId p : preds) {
-                worst = std::max(worst, out_state[p].node_temps[n]);
+          if (weight_sum > 0.0) {
+            for (std::size_t n = 0; n < entry.size(); ++n) {
+              double acc = include_boundary ? substrate : 0.0;
+              for (std::size_t pi = 0; pi < preds.size(); ++pi) {
+                acc += weights[pi] * pred_temps[pi][n];
               }
-              state.node_temps[n] = worst;
+              entry[n] = acc / weight_sum;
             }
-            break;
+          } else {
+            std::ranges::fill(entry, substrate);
           }
+          break;
+        }
+        case JoinMode::kMax: {
+          // Upper envelope; the substrate temperature is the floor (it
+          // also stands in for the entry boundary).
+          for (std::size_t n = 0; n < entry.size(); ++n) {
+            double worst = substrate;
+            for (const double* temps : pred_temps) {
+              worst = std::max(worst, temps[n]);
+            }
+            entry[n] = worst;
+          }
+          break;
         }
       }
 
@@ -270,8 +279,11 @@ ThermalDfaResult ThermalDfa::analyze(const ir::Function& func,
         }
         reg_temps = cur;
       }
-      if (std::memcmp(state.node_temps.data(), out_state[b].node_temps.data(),
-                      state.node_temps.size() * sizeof(double)) != 0) {
+      // step() may have traded the state's plane for its spare, so the
+      // exit nodes are read afresh.
+      const std::span<const double> exit = state.nodes();
+      if (std::memcmp(exit.data(), out_state[b].nodes().data(),
+                      exit.size_bytes()) != 0) {
         ++out_version[b];
       }
       std::swap(out_state[b], state);

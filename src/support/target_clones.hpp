@@ -3,8 +3,10 @@
 // Put on a function's definition, it compiles the function for
 // x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline x86-64, and the
 // dynamic loader binds the one the CPU supports, once per process (an
-// ifunc resolved from CPUID). The thermal DFA's per-transfer loops carry
-// it: at baseline they run two SSE2 lanes. The v4 clone stays because
+// ifunc resolved from CPUID). The thermal DFA's per-transfer loops and
+// the modal path's transforms carry it: at baseline they run two SSE2
+// lanes, whose short loops run fast or slow with where the linker puts
+// them (README, "In-place step"). The v4 clone stays because
 // an AVX-512 host compiles about 1.2x more functions per second with it
 // than with v3 (README, "Full-width transfer").
 //

@@ -143,63 +143,65 @@ machine::PhysReg ThermalGrid::register_of(std::size_t node) const {
 
 ThermalState ThermalGrid::initial_state() const {
   ThermalState s;
-  s.node_temps.assign(node_count(), substrate_temp_);
+  s.plane_.assign(node_count() + 2 * node_cols_, substrate_temp_);
+  s.pad_ = node_cols_;
   return s;
 }
 
-void ThermalGrid::spread_power(std::span<const double> reg_power_w,
-                               std::vector<double>& p) const {
-  // Each node has exactly one owner, so its power is that cell's share.
+const double* ThermalGrid::node_power(
+    std::span<const double> reg_power_w) const {
+  if (subdivision_ == 1) {
+    return reg_power_w.data();
+  }
+  // The buffer is thread_local: the DFA calls step() once per
+  // instruction per iteration, and per-call mallocs both cost time and
+  // serialize the driver's worker pool on the allocator. Each node has
+  // exactly one owner, so its power is that cell's share.
+  thread_local std::vector<double> p;
   const double per_node = 1.0 / (subdivision_ * subdivision_);
   p.resize(node_count());
   for (std::size_t i = 0; i < p.size(); ++i) {
     p[i] = reg_power_w[node_owner_[i]] * per_node;
   }
+  return p.data();
 }
 
 void ThermalGrid::step(ThermalState& state,
                        std::span<const double> reg_power_w, double dt) const {
-  TADFA_ASSERT(state.node_temps.size() == node_count());
+  TADFA_ASSERT(fits(state));
   TADFA_ASSERT(reg_power_w.size() == floorplan_->num_registers());
   TADFA_ASSERT(dt >= 0.0);
   if (dt == 0.0) {
     return;
   }
-  // The scratch is thread_local: the DFA calls step() once per
-  // instruction per iteration, and per-call mallocs both cost time and
-  // serialize the driver's worker pool on the allocator.
-  thread_local std::vector<double> p;
-  spread_power(reg_power_w, p);
+  const double* p = node_power(reg_power_w);
   // The substep count stays in double: a deep loop nest's window passes
   // INT_MAX substeps, and dt = +inf once its frequency scaling overflows.
   // Both take the modal path, so the loop's count always fits an int.
   const double substeps = std::max(1.0, std::ceil(dt / stable_dt_));
   if (substeps < modal_cutoff_) {
-    euler(state.node_temps, p, static_cast<int>(substeps), dt / substeps);
+    euler(state, p, static_cast<int>(substeps), dt / substeps);
   } else {
-    propagate_modal(state.node_temps, p, substeps, dt / substeps);
+    propagate_modal(state.nodes().data(), p, substeps, dt / substeps);
   }
 }
 
 TADFA_TARGET_CLONES
-void ThermalGrid::euler(std::vector<double>& temps,
-                        const std::vector<double>& p, int substeps,
+void ThermalGrid::euler(ThermalState& state, const double* p, int substeps,
                         double h) const {
-  // Two temperature planes laid out [pad][t][pad][next][pad], each pad
-  // node_cols_ finite values, so every node's W/E/N/S reads stay in
-  // bounds (see nbr_g_). Only the pads need filling per call.
-  thread_local std::vector<double> planes;
+  // The substeps alternate between the state's plane and the spare, so
+  // every node's W/E/N/S reads stay in bounds and land on finite pads
+  // (see nbr_g_). The spare's pads are written only when another grid's
+  // layout left them, and no node is copied.
+  thread_local ThermalState spare;
+  if (spare.plane_.size() != state.plane_.size() || spare.pad_ != state.pad_) {
+    spare.plane_.assign(state.plane_.size(), substrate_temp_);
+    spare.pad_ = state.pad_;
+  }
   const std::size_t n = node_count();
-  const std::size_t pad = node_cols_;
-  planes.resize(2 * n + 3 * pad);
-  double* t = planes.data() + pad;
-  double* next = t + n + pad;
-  std::fill_n(planes.data(), pad, substrate_temp_);
-  std::fill_n(t + n, pad, substrate_temp_);
-  std::fill_n(next + n, pad, substrate_temp_);
-  std::copy(temps.begin(), temps.end(), t);
+  double* t = state.plane_.data() + state.pad_;
+  double* next = spare.plane_.data() + spare.pad_;
 
-  const double* pw = p.data();
   const double* gw = nbr_g_.data();
   const double* ge = gw + n;
   const double* gn = ge + n;
@@ -216,7 +218,7 @@ void ThermalGrid::euler(std::vector<double>& temps,
 #pragma omp simd
     for (std::ptrdiff_t i = 0; i < nodes; ++i) {
       const double ti = t[i];
-      double flux = pw[i] + gv * (ts - ti);
+      double flux = p[i] + gv * (ts - ti);
       flux += gw[i] * (t[i - 1] - ti);
       flux += ge[i] * (t[i + 1] - ti);
       flux += gn[i] * (t[i - row] - ti);
@@ -225,11 +227,12 @@ void ThermalGrid::euler(std::vector<double>& temps,
     }
     std::swap(t, next);
   }
-  std::copy_n(t, n, temps.begin());
+  if (substeps % 2 != 0) {
+    state.plane_.swap(spare.plane_);
+  }
 }
 
-void ThermalGrid::propagate_modal(std::vector<double>& temps,
-                                  const std::vector<double>& p,
+void ThermalGrid::propagate_modal(double* temps, const double* p,
                                   double substeps, double h) const {
   thread_local std::vector<double> scratch;
   const std::size_t n = node_count();
@@ -244,7 +247,7 @@ void ThermalGrid::propagate_modal(std::vector<double>& temps,
   // Û = Φᵀ·U, with Φ = Φ_rows ⊗ Φ_cols acting on the rows × cols plane
   // as Φ_rowsᵀ·U·Φ_cols.
   sandwich(phi_rows_t_, u, phi_cols_, u_hat, work);
-  sandwich(phi_rows_t_, p.data(), phi_cols_, p_hat, work);
+  sandwich(phi_rows_t_, p, phi_cols_, p_hat, work);
   // Each mode relaxes toward its steady value Ŝ = p̂/λ by Euler's factor
   // 1 − hλ/C per substep, |factor| < 1 below the stability limit. After
   // infinitely many substeps (where h is not a number) only Ŝ is left.
@@ -262,6 +265,7 @@ void ThermalGrid::propagate_modal(std::vector<double>& temps,
   }
 }
 
+TADFA_TARGET_CLONES
 void ThermalGrid::sandwich(const std::vector<double>& a, const double* x,
                            const std::vector<double>& b, double* out,
                            double* work) const {
@@ -299,10 +303,8 @@ void ThermalGrid::sandwich(const std::vector<double>& a, const double* x,
 ThermalState ThermalGrid::steady_state(
     std::span<const double> reg_power_w) const {
   TADFA_ASSERT(reg_power_w.size() == floorplan_->num_registers());
-  std::vector<double> p;
-  spread_power(reg_power_w, p);
   ThermalState state = initial_state();
-  propagate_modal(state.node_temps, p,
+  propagate_modal(state.nodes().data(), node_power(reg_power_w),
                   std::numeric_limits<double>::infinity(), 0.0);
   return state;
 }
@@ -317,9 +319,9 @@ std::vector<double> ThermalGrid::register_temps(
 TADFA_TARGET_CLONES
 void ThermalGrid::register_temps(const ThermalState& state,
                                  std::span<double> out) const {
-  TADFA_ASSERT(state.node_temps.size() == node_count());
+  TADFA_ASSERT(fits(state));
   TADFA_ASSERT(out.size() == floorplan_->num_registers());
-  const double* t = state.node_temps.data();
+  const double* t = state.nodes().data();
   double* o = out.data();
   const std::size_t regs = out.size();
   const std::size_t per_cell = std::size_t{subdivision_} * subdivision_;
@@ -346,10 +348,10 @@ void ThermalGrid::register_temps(const ThermalState& state,
 }
 
 double ThermalGrid::stored_energy(const ThermalState& state) const {
-  TADFA_ASSERT(state.node_temps.size() == node_count());
+  TADFA_ASSERT(fits(state));
   double e = 0.0;
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    e += cap_ * (state.node_temps[i] - substrate_temp_);
+  for (const double t : state.nodes()) {
+    e += cap_ * (t - substrate_temp_);
   }
   return e;
 }

@@ -21,6 +21,17 @@
 //     `#pragma omp simd` pass per substep from one padded temperature
 //     plane into another. Each node's operations run in the original
 //     scalar loop's order, so its results are bit-identical to that loop.
+//     The state is that loop's own plane, stepped in place: one vector
+//     laid out [pad][nodes][pad], each pad one node row of finite values
+//     that initial_state() writes once. The other plane is a
+//     thread-local spare of the same layout; after an odd number of
+//     substeps the two vectors trade places, so a step copies no node in
+//     or out. Every grid a thread steps shares the one spare, so its pads
+//     are written again whenever its length or pad width is not this
+//     grid's: two grids can pad planes of one length differently (8×8
+//     and 3×16 both make 80 values). At subdivision 1 node r is register
+//     r and its power share is x·1 = x, so the loop reads the
+//     per-register power as it is; only s >= 2 spreads it over the nodes.
 //   - Modal path, for every longer window, including n past INT_MAX and
 //     dt = +inf: Euler's own n-step map in closed form. C, g_v and each
 //     direction's lateral conductance are the same at every node of the
@@ -36,16 +47,17 @@
 //
 // steady_state() is the same map at n = ∞: an exact solve.
 //
-// The Euler loop and the register readout are each built for AVX-512,
-// AVX2 and baseline x86-64, and the process runs the clone its CPU
-// supports (support/target_clones.hpp). The width cannot move a bit:
-// every lane runs its own node's (or cell's) operations in the scalar
-// order, no two lanes' values are ever combined, and -ffp-contract=off
-// keeps each product and sum rounded on its own. At s = 1 the readout
-// reads node r as cell r with no division (x/1 is x); every other s
-// divides each cell's node sum by s².
+// The Euler loop, the modal path's transforms and the register readout
+// are each built for AVX-512, AVX2 and baseline x86-64, and the process
+// runs the clone its CPU supports (support/target_clones.hpp). The width
+// cannot move a bit: every lane runs its own node's (or cell's)
+// operations in the scalar order, no two lanes' values are ever
+// combined, and -ffp-contract=off keeps each product and sum rounded on
+// its own. At s = 1 the readout reads node r as cell r with no division
+// (x/1 is x); every other s divides each cell's node sum by s².
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -55,11 +67,28 @@
 namespace tadfa::thermal {
 
 /// Discrete approximation of the RF temperature field: one value per grid
-/// node, in kelvin.
-struct ThermalState {
-  std::vector<double> node_temps;
+/// node, in kelvin, held in the Euler loop's padded plane (see the header
+/// comment). A default-constructed state has no nodes; a grid's states
+/// come from initial_state() or steady_state().
+class ThermalState {
+ public:
+  std::span<double> nodes() { return {plane_.data() + pad_, node_count()}; }
+  std::span<const double> nodes() const {
+    return {plane_.data() + pad_, node_count()};
+  }
 
-  friend bool operator==(const ThermalState&, const ThermalState&) = default;
+  /// Compares the nodes, not the pads.
+  friend bool operator==(const ThermalState& a, const ThermalState& b) {
+    return std::ranges::equal(a.nodes(), b.nodes());
+  }
+
+ private:
+  friend class ThermalGrid;
+
+  std::size_t node_count() const { return plane_.size() - 2 * pad_; }
+
+  std::vector<double> plane_;  // [pad][nodes][pad]
+  std::size_t pad_ = 0;
 };
 
 class ThermalGrid {
@@ -126,21 +155,25 @@ class ThermalGrid {
     return row * node_cols_ + col;
   }
 
-  /// Spreads per-register watts uniformly over each cell's nodes into
-  /// `p` (resized to node_count()).
-  void spread_power(std::span<const double> reg_power_w,
-                    std::vector<double>& p) const;
+  /// Whether `state` has this grid's node count and pad width.
+  bool fits(const ThermalState& state) const {
+    return state.pad_ == node_cols_ && state.node_count() == node_count();
+  }
 
-  /// `substeps` Euler substeps of `h` seconds on `temps` under node
-  /// power `p`.
-  void euler(std::vector<double>& temps, const std::vector<double>& p,
-             int substeps, double h) const;
+  /// Per-node watts: `reg_power_w` itself at subdivision 1 (node r is
+  /// register r), else each register's watts spread uniformly over its
+  /// cell's nodes into a thread-local buffer, valid until the next call.
+  const double* node_power(std::span<const double> reg_power_w) const;
 
-  /// Euler's `substeps`-step map of `h` seconds in closed form on `temps`
-  /// under node power `p`; `substeps` = +inf is the steady state, and
-  /// `h` is then not read.
-  void propagate_modal(std::vector<double>& temps,
-                       const std::vector<double>& p, double substeps,
+  /// `substeps` Euler substeps of `h` seconds on `state`'s plane under
+  /// node power `p`.
+  void euler(ThermalState& state, const double* p, int substeps,
+             double h) const;
+
+  /// Euler's `substeps`-step map of `h` seconds in closed form on the
+  /// node_count() values at `temps` under node power `p`; `substeps` =
+  /// +inf is the steady state, and `h` is then not read.
+  void propagate_modal(double* temps, const double* p, double substeps,
                        double h) const;
 
   /// out = a·x·b for a node plane x (rows × cols), a rows × rows and b
@@ -172,7 +205,10 @@ class ThermalGrid {
   // on the next row or a pad of finite values, and the absent link's
   // conductance 0 turns it into an exact +0 or −0, which leaves the
   // running flux (never −0) unchanged. So the loop is branch-free and
-  // still bit-identical to the edge-checked form.
+  // still bit-identical to the edge-checked form on finite nodes. (A NaN
+  // or infinite node at a row's end also reaches the next row's first
+  // node, since 0·inf and 0·NaN are NaN; the edge-checked form would not
+  // read it.)
   std::vector<double> nbr_g_;  // 4 planes (W/K; 0 = no link)
 
   // Modal basis: Φ[j][k] = φ_k(j) = c_k·cos(πk(j + ½)/m), the

@@ -527,14 +527,14 @@ ThermalDfaResult reference_analyze(
       const auto& preds = cfg.predecessors(b);
       const bool include_boundary = b == func.entry();
       if (!preds.empty() || include_boundary) {
-        const std::size_t nodes = state.node_temps.size();
+        const std::size_t nodes = state.nodes().size();
         if (config.join_mode == JoinMode::kMax) {
           for (std::size_t n = 0; n < nodes; ++n) {
-            double worst = state.node_temps[n];
+            double worst = state.nodes()[n];
             for (ir::BlockId p : preds) {
-              worst = std::max(worst, out_state[p].node_temps[n]);
+              worst = std::max(worst, out_state[p].nodes()[n]);
             }
-            state.node_temps[n] = worst;
+            state.nodes()[n] = worst;
           }
         } else {
           double weight_sum = include_boundary ? 1.0 : 0.0;
@@ -549,9 +549,9 @@ ThermalDfaResult reference_analyze(
             for (std::size_t n = 0; n < nodes; ++n) {
               double acc = include_boundary ? grid.substrate_temp() : 0.0;
               for (std::size_t pi = 0; pi < preds.size(); ++pi) {
-                acc += weights[pi] * out_state[preds[pi]].node_temps[n];
+                acc += weights[pi] * out_state[preds[pi]].nodes()[n];
               }
-              state.node_temps[n] = acc / weight_sum;
+              state.nodes()[n] = acc / weight_sum;
             }
           }
         }

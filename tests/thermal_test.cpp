@@ -26,7 +26,8 @@ namespace {
 /// The grid's RC model written out node by node from the technology
 /// parameters, with every edge checked: plain explicit Euler and
 /// full-sweep Gauss-Seidel, the oracles for step()'s modal path and for
-/// steady_state().
+/// steady_state(). padded_euler is step()'s Euler loop in scalar form on
+/// fresh planes, the bit-for-bit oracle for how step() keeps its planes.
 struct ReferenceGrid {
   explicit ReferenceGrid(const ThermalGrid& grid) : grid(&grid) {
     const auto& cfg = grid.floorplan().config();
@@ -97,6 +98,38 @@ struct ReferenceGrid {
     }
   }
 
+  /// `substeps` substeps of step()'s own Euler loop, written out in scalar
+  /// form on two fresh [pad][nodes][pad] planes whose pads hold the
+  /// substrate temperature: every node reads its four neighbors at t[i±1]
+  /// and t[i±cols], and an absent link has conductance 0. The loop reads
+  /// a pad only through such a link.
+  void padded_euler(std::vector<double>& t,
+                    std::span<const double> reg_power_w, int substeps,
+                    double h) const {
+    const std::vector<double> p = node_power(reg_power_w);
+    const double ts = grid->substrate_temp();
+    const std::size_t n = t.size();
+    std::vector<double> cur(n + 2 * cols, ts);
+    std::vector<double> next(n + 2 * cols, ts);
+    std::copy(t.begin(), t.end(), cur.begin() + cols);
+    for (int s = 0; s < substeps; ++s) {
+      for (std::size_t row = 0, i = 0; row < rows; ++row) {
+        for (std::size_t col = 0; col < cols; ++col, ++i) {
+          const double* c = cur.data() + cols + i;
+          const double ti = *c;
+          double flux = p[i] + gv * (ts - ti);
+          flux += (col > 0 ? gh : 0.0) * (*(c - 1) - ti);
+          flux += (col + 1 < cols ? gh : 0.0) * (*(c + 1) - ti);
+          flux += (row > 0 ? gns : 0.0) * (*(c - cols) - ti);
+          flux += (row + 1 < rows ? gns : 0.0) * (*(c + cols) - ti);
+          next[cols + i] = ti + h * flux / cap;
+        }
+      }
+      std::swap(cur, next);
+    }
+    std::copy_n(cur.begin() + cols, n, t.begin());
+  }
+
   /// Gauss-Seidel on the rise, (g_v + Σg)·u_i = p_i + Σ g·u_j, until no
   /// sweep moves a node by 1e-14 K. The matrix is strictly diagonally
   /// dominant, so this converges from any start.
@@ -143,8 +176,7 @@ struct ReferenceGrid {
   double cap = 0, gv = 0, gh = 0, gns = 0, stable_dt = 0;
 };
 
-double max_abs_diff(const std::vector<double>& a,
-                    const std::vector<double>& b) {
+double max_abs_diff(std::span<const double> a, std::span<const double> b) {
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     worst = std::max(worst, std::abs(a[i] - b[i]));
@@ -168,7 +200,7 @@ TEST(ThermalGrid, InitialStateAtSubstrate) {
   const auto fp = small_fp();
   const ThermalGrid grid(fp);
   const ThermalState s = grid.initial_state();
-  for (double t : s.node_temps) {
+  for (double t : s.nodes()) {
     EXPECT_DOUBLE_EQ(t, grid.substrate_temp());
   }
 }
@@ -178,7 +210,7 @@ TEST(ThermalGrid, NoPowerStaysAtSubstrate) {
   const ThermalGrid grid(fp);
   ThermalState s = grid.initial_state();
   grid.step(s, no_power(fp), 1e-3);
-  for (double t : s.node_temps) {
+  for (double t : s.nodes()) {
     EXPECT_NEAR(t, grid.substrate_temp(), 1e-9);
   }
 }
@@ -233,7 +265,7 @@ TEST(ThermalGrid, TransientApproachesSteadyState) {
     // 1 ms is far beyond the RC settling time (~ tens of µs).
     grid.step(transient, p, 1e-3);
     for (std::size_t i = 0; i < steady.size(); ++i) {
-      EXPECT_NEAR(transient.node_temps[i], steady[i], 1e-3)
+      EXPECT_NEAR(transient.nodes()[i], steady[i], 1e-3)
           << "sub=" << sub << " node=" << i;
     }
   }
@@ -249,9 +281,9 @@ TEST(ThermalGrid, SteadyStateLinearInPower) {
     w *= 2;
   }
   const ThermalState two = grid.steady_state(p);
-  for (std::size_t i = 0; i < one.node_temps.size(); ++i) {
-    const double d1 = one.node_temps[i] - grid.substrate_temp();
-    const double d2 = two.node_temps[i] - grid.substrate_temp();
+  for (std::size_t i = 0; i < one.nodes().size(); ++i) {
+    const double d1 = one.nodes()[i] - grid.substrate_temp();
+    const double d2 = two.nodes()[i] - grid.substrate_temp();
     EXPECT_NEAR(d2, 2 * d1, 1e-6);
   }
 }
@@ -345,7 +377,7 @@ TEST(ThermalGrid, RegisterTempsIsThePlainCellAverage) {
       const ThermalGrid grid(fp, sub);
       const std::size_t node_cols = std::size_t{fp.cols()} * sub;
       ThermalState s = grid.initial_state();
-      for (double& t : s.node_temps) {
+      for (double& t : s.nodes()) {
         t = rng.uniform(300.0, 420.0);
       }
       const auto temps = grid.register_temps(s);
@@ -356,7 +388,7 @@ TEST(ThermalGrid, RegisterTempsIsThePlainCellAverage) {
           for (std::size_t dc = 0; dc < sub; ++dc) {
             const std::size_t row = std::size_t{fp.row_of(r)} * sub + dr;
             const std::size_t col = std::size_t{fp.col_of(r)} * sub + dc;
-            sum += s.node_temps[row * node_cols + col];
+            sum += s.nodes()[row * node_cols + col];
           }
         }
         EXPECT_EQ(std::bit_cast<std::uint64_t>(temps[r]),
@@ -422,7 +454,7 @@ TEST(ThermalGrid, StepWithZeroDtIsIdentity) {
   for (unsigned sub : {1u, 2u, 4u}) {
     const ThermalGrid grid(fp, sub);
     ThermalState s = grid.initial_state();
-    s.node_temps[0] += 5;
+    s.nodes()[0] += 5;
     const ThermalState before = s;
     grid.step(s, no_power(fp), 0.0);
     EXPECT_EQ(s, before) << "sub=" << sub;
@@ -460,12 +492,78 @@ TEST(ThermalGrid, StepKeepsRecordedBitsAcrossSubdivisions) {
         p[r] = 0.02 * static_cast<double>((r * 7 + i * 3) % 11);
       }
       grid.step(s, p, dt_scale[i % 5] * grid.max_stable_dt());
-      for (double t : s.node_temps) {
+      for (double t : s.nodes()) {
         h.mix(t);
       }
     }
     EXPECT_EQ(h.digest(), digest) << "sub=" << sub;
   }
+}
+
+TEST(ThermalGrid, SparePlaneKeepsPadsFiniteAcrossLayouts) {
+  // Every grid a thread steps shares one spare plane. The default 8×8
+  // file and a 3×16 one pad their 64 and 48 nodes to 80 values each,
+  // with pads of 8 and 16, so a spare checked by length alone would give
+  // the 3×16 grid pads that held the 8×8 grid's nodes. One thread
+  // alternates the two at odd and even substep counts, with NaN and ±inf
+  // nodes in the 8×8 state, and every node must match padded_euler bit
+  // for bit. A NaN matches any NaN: IEEE leaves a NaN result's payload
+  // open.
+  machine::RegisterFileConfig wide_config;
+  wide_config.num_registers = 48;
+  wide_config.rows = 3;
+  wide_config.cols = 16;
+  wide_config.banks = 4;
+  ASSERT_TRUE(wide_config.valid());
+  const machine::Floorplan square_fp = default_fp();
+  const machine::Floorplan wide_fp(wide_config);
+  const ThermalGrid square(square_fp);
+  const ThermalGrid wide(wide_fp);
+  ASSERT_EQ(square.node_count() + 2 * 8, wide.node_count() + 2 * 16);
+
+  Rng rng(23);
+  ThermalState states[] = {square.initial_state(), wide.initial_state()};
+  for (ThermalState& s : states) {
+    for (double& t : s.nodes()) {
+      t += rng.uniform(0.0, 5.0);
+    }
+  }
+  states[0].nodes()[0] = std::numeric_limits<double>::quiet_NaN();
+  states[0].nodes()[27] = std::numeric_limits<double>::infinity();
+  states[0].nodes()[46] = -std::numeric_limits<double>::infinity();
+
+  const ThermalGrid* grids[] = {&square, &wide};
+  std::size_t nan_nodes = 0;
+  for (int round = 0; round < 8; ++round) {
+    for (std::size_t g = 0; g < 2; ++g) {
+      const ThermalGrid& grid = *grids[g];
+      ThermalState& s = states[g];
+      const int substeps = 1 + static_cast<int>((round + g) % 4);
+      const double dt = (substeps - 0.5) * grid.max_stable_dt();
+      ASSERT_EQ(std::ceil(dt / grid.max_stable_dt()), substeps);
+      std::vector<double> p(grid.floorplan().num_registers());
+      for (double& w : p) {
+        w = rng.uniform(0.0, 0.02);
+      }
+      std::vector<double> expected(s.nodes().begin(), s.nodes().end());
+      ReferenceGrid(grid).padded_euler(expected, p, substeps, dt / substeps);
+      grid.step(s, p, dt);
+      SCOPED_TRACE(testing::Message() << "grid " << g << ", round " << round);
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        const double got = s.nodes()[i];
+        if (std::isnan(expected[i])) {
+          ++nan_nodes;
+          EXPECT_TRUE(std::isnan(got)) << "node " << i;
+        } else {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(expected[i]))
+              << "node " << i;
+        }
+      }
+    }
+  }
+  // The 8×8 state did carry NaN into the spare.
+  EXPECT_GT(nan_nodes, 0u);
 }
 
 TEST(ThermalGrid, ModalWindowMatchesEulerLoop) {
@@ -486,7 +584,7 @@ TEST(ThermalGrid, ModalWindowMatchesEulerLoop) {
       const std::int64_t cutoff = std::max<std::int64_t>(
           64, static_cast<std::int64_t>(ref.rows + ref.cols));
       ThermalState s = grid.initial_state();
-      for (double& t : s.node_temps) {
+      for (double& t : s.nodes()) {
         t += rng.uniform(0.0, 5.0);
       }
       const std::int64_t windows[] = {cutoff - 1, cutoff, 1000, 20000,
@@ -501,10 +599,10 @@ TEST(ThermalGrid, ModalWindowMatchesEulerLoop) {
             (static_cast<double>(substeps) - 0.5) * grid.max_stable_dt();
         ASSERT_EQ(std::ceil(dt / grid.max_stable_dt()),
                   static_cast<double>(substeps));
-        std::vector<double> expected = s.node_temps;
+        std::vector<double> expected(s.nodes().begin(), s.nodes().end());
         ref.euler(expected, p, substeps, dt / static_cast<double>(substeps));
         grid.step(s, p, dt);
-        const double diff = max_abs_diff(s.node_temps, expected);
+        const double diff = max_abs_diff(s.nodes(), expected);
         EXPECT_LE(diff, 1e-9)
             << name << " sub=" << sub << " substeps=" << substeps;
         worst = std::max(worst, diff);
@@ -537,7 +635,7 @@ TEST(ThermalGrid, ModalWindowMatchesEulerLoop) {
         p[r] = 0.02 * static_cast<double>((r * 7 + i * 3) % 11);
       }
       grid.step(s, p, dt_scale[i % 2] * grid.max_stable_dt());
-      for (double t : s.node_temps) {
+      for (double t : s.nodes()) {
         h.mix(t);
       }
     }
@@ -558,13 +656,13 @@ TEST(ThermalGrid, HugeWindowReachesSteadyState) {
       p[5] = 1e-3;
       p[10] = 0.5e-3;
       const std::vector<double> steady = ReferenceGrid(grid).steady_state(p);
-      EXPECT_LE(max_abs_diff(grid.steady_state(p).node_temps, steady), 1e-9)
+      EXPECT_LE(max_abs_diff(grid.steady_state(p).nodes(), steady), 1e-9)
           << fp.num_registers() << " registers, sub=" << sub;
       for (double dt : {1e3, std::numeric_limits<double>::infinity()}) {
         ThermalState s = grid.initial_state();
         grid.step(s, p, dt);
-        for (std::size_t i = 0; i < s.node_temps.size(); ++i) {
-          ASSERT_NEAR(s.node_temps[i], steady[i], 1e-9)
+        for (std::size_t i = 0; i < s.nodes().size(); ++i) {
+          ASSERT_NEAR(s.nodes()[i], steady[i], 1e-9)
               << fp.num_registers() << " registers, sub=" << sub
               << ", dt=" << dt << ", node " << i;
         }
