@@ -461,3 +461,301 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripTest,
 
 }  // namespace
 }  // namespace tadfa::ir
+
+// Pins of the text format: the printed bytes of a corpus, its round trip,
+// and every diagnostic the parser emits with its line, recorded from the
+// line-splitting parser and ostream printer the current ones replaced.
+#include "frontend/frontend.hpp"
+#include "support/serialize.hpp"
+#include "workload/kernels.hpp"
+#include "workload/modules.hpp"
+
+namespace tadfa::ir {
+namespace {
+
+/// Every opcode, both immediate extremes, the largest register number,
+/// a forward branch and a parameter list.
+constexpr const char* kEveryOpcode =
+    "func @every(%0, %4294967294) {\n"
+    "entry:\n"
+    "  %1 = const -9223372036854775808\n"
+    "  %2 = const 9223372036854775807\n"
+    "  %3 = mov %1\n"
+    "  %4 = add %1, %2\n"
+    "  %5 = sub %4, 0\n"
+    "  %6 = mul %5, -1\n"
+    "  %7 = div %6, 3\n"
+    "  %8 = rem %7, 3\n"
+    "  %9 = and %8, %0\n"
+    "  %10 = or %9, 1\n"
+    "  %11 = xor %10, %10\n"
+    "  %12 = shl %11, 2\n"
+    "  %13 = shr %12, 1\n"
+    "  %14 = neg %13\n"
+    "  %15 = not %14\n"
+    "  %16 = min %15, %4294967294\n"
+    "  %17 = max %16, 0\n"
+    "  %18 = cmpeq %17, 0\n"
+    "  %19 = cmpne %17, 0\n"
+    "  %20 = cmplt %17, %18\n"
+    "  %21 = cmple %17, %19\n"
+    "  %22 = cmpgt %20, %21\n"
+    "  %23 = cmpge %22, 1\n"
+    "  %24 = load %0\n"
+    "  store %0, %24\n"
+    "  nop\n"
+    "  br %23, exit, loop\n"
+    "loop:\n"
+    "  jmp exit\n"
+    "exit:\n"
+    "  ret %3\n"
+    "}\n"
+    "\n"
+    "func @void() {\n"
+    "entry:\n"
+    "  ret\n"
+    "}\n"
+    "\n"
+    "ref @void -> @every\n";
+
+/// A texpr loop nest `depth` deep with a branch and builtins inside.
+std::string texpr_nest(int depth) {
+  const std::string d = std::to_string(depth);
+  std::string src = "fn nest" + d + "(x, n) {\n  let acc = -" + d + ";\n";
+  for (int l = 0; l < depth; ++l) {
+    src += "  let i" + std::to_string(l) + " = 0;\n";
+  }
+  std::string indent = "  ";
+  for (int l = 0; l < depth; ++l) {
+    const std::string i = "i" + std::to_string(l);
+    if (l > 0) {
+      src += indent + i + " = 0;\n";
+    }
+    src += indent + "while (" + i + " < n) {\n";
+    indent += "  ";
+  }
+  src += indent + "if (acc % 2 == 0) { acc = acc + x[i0] * " + d +
+         "; } else { acc = min(acc, max(x[i0], ~acc)) - 1; }\n";
+  for (int l = depth - 1; l >= 0; --l) {
+    const std::string i = "i" + std::to_string(l);
+    src += indent + i + " = " + i + " + 1;\n";
+    indent.resize(indent.size() - 2);
+    src += indent + "}\n";
+  }
+  return src + "  return acc;\n}\n";
+}
+
+/// The modules whose printed text is pinned: mixed modules with `ref`
+/// edges on three seeds, every named kernel, lowered texpr nests, and
+/// kEveryOpcode.
+std::vector<Module> corpus_modules() {
+  std::vector<Module> modules;
+  for (const std::uint64_t seed : {1, 7, 12345}) {
+    workload::ModuleConfig cfg;
+    cfg.functions = 24;
+    cfg.seed = seed;
+    modules.push_back(workload::make_mixed_module(cfg));
+  }
+  Module kernels;
+  for (workload::Kernel& k : workload::standard_suite()) {
+    kernels.add_function(std::move(k.func));
+  }
+  modules.push_back(std::move(kernels));
+  std::string nests;
+  for (int depth = 1; depth <= 5; ++depth) {
+    nests += texpr_nest(depth);
+  }
+  auto lowered = frontend::find_frontend("texpr")->parse(nests);
+  EXPECT_TRUE(lowered.ok()) << lowered.diagnostics_text();
+  if (lowered.ok()) {
+    modules.push_back(std::move(*lowered.module));
+  }
+  auto every = parse_module(kEveryOpcode);
+  EXPECT_TRUE(every.has_value());
+  if (every.has_value()) {
+    modules.push_back(std::move(*every));
+  }
+  return modules;
+}
+
+TEST(TextFormat, CorpusPrintsRecordedBytesAndRoundTrips) {
+  Hasher h;
+  std::size_t functions = 0;
+  for (const Module& module : corpus_modules()) {
+    const std::string text = to_string(module);
+    h.mix(std::string_view{text});
+    ParseError err;
+    const auto parsed = parse_module(text, &err);
+    ASSERT_TRUE(parsed.has_value()) << err.line << ": " << err.message;
+    EXPECT_EQ(to_string(*parsed), text);
+    EXPECT_EQ(parsed->references(), module.references());
+    ASSERT_EQ(parsed->size(), module.size());
+    for (std::size_t i = 0; i < module.size(); ++i) {
+      const Function& original = module.functions()[i];
+      Function reread = parsed->functions()[i];
+      // The text names every register it uses, not the allocated count.
+      reread.ensure_regs(original.reg_count());
+      EXPECT_EQ(fingerprint(reread), fingerprint(original)) << original.name();
+      const std::string one = to_string(original);
+      const auto alone = parse_function(one, &err);
+      ASSERT_TRUE(alone.has_value()) << err.line << ": " << err.message;
+      EXPECT_EQ(to_string(*alone), one);
+      ++functions;
+    }
+  }
+  EXPECT_EQ(functions, 24u * 3 + workload::standard_suite().size() + 5 + 2);
+  EXPECT_EQ(h.digest(), 0xee757ea02690632aull);
+}
+
+TEST(TextFormat, EveryOpcodeTextIsCanonical) {
+  const auto m = parse_module(kEveryOpcode);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(to_string(*m), kEveryOpcode);
+  EXPECT_EQ(m->functions()[0].reg_count(), 4294967295u);
+}
+
+struct Diagnosed {
+  const char* text;
+  std::size_t line;
+  const char* message;
+};
+
+// One row per diagnostic parse_module emits, and rows that pin which of
+// two errors wins.
+constexpr Diagnosed kDiagnostics[] = {
+    // Module level: a `ref` line, else a function header.
+    {"ref @a @b\n", 1, "expected 'ref @from -> @to'"},
+    {"ref @a -> b\n", 1, "expected 'ref @from -> @to'"},
+    {"\n\nref a -> @b\n", 3, "expected 'ref @from -> @to'"},
+    {"ref @ -> @b\n", 1, "expected 'ref @from -> @to'"},
+    {"ref\t@a -> @b\n", 1, "expected 'func @name(...) {'"},
+    {"fn @f() {\n", 1, "expected 'func @name(...) {'"},
+    {"func @f {\n", 1, "missing '(' in function header"},
+    {"func @ {\n", 1, "missing '(' in function header"},
+    {"func @(%0) {\n", 1, "empty function name"},
+    {"func @ (x {\n", 1, "empty function name"},
+    {"func @f(%0 {\n", 1, "missing ')' in function header"},
+    {"func @f()\n", 1, "expected '{' after parameter list"},
+    {"func @f() { x\n", 1, "expected '{' after parameter list"},
+    {"func @f(%0, x) {\n", 1, "bad parameter ' x'"},
+    {"func @f(%0,) {\n", 1, "bad parameter ''"},
+    {"func @f(%-1) {\n", 1, "bad parameter '%-1'"},
+    {"func @f(%) {\n", 1, "bad parameter '%'"},
+    {"func @f(%1x) {\n}\n", 1, "bad parameter '%1x'"},
+    // The body, then what is checked after its '}'.
+    {"func @f() {\nentry:\n  ret\n", 5, "missing closing '}'"},
+    {"func @f() {\nentry:\n  ret", 4, "missing closing '}'"},
+    {"func @f() {\n}\n", 3, "function has no blocks"},
+    {"func @f() {\n\n  ret\n}\n", 3, "instruction before first block label"},
+    {"func @f() {\na:\n  ret\na:\n  ret\n}\n", 7, "duplicate block label 'a'"},
+    {"func @f() {\na:\n  ret\nb:\n  ret\nb:\n  ret\n}\n\nfunc @g() {\n", 9,
+     "duplicate block label 'b'"},
+    {"func @f() {\nentry:\n  jmp nowhere\n}\n", 3,
+     "unknown block label 'nowhere'"},
+    {"func @f() {\nentry:\n  %x = const 1\n  ret\n}\n", 3,
+     "bad destination register"},
+    {"func @f() {\nentry:\n  %1 %2 = add %0, 1\n}\n", 3,
+     "bad destination register"},
+    {"func @f() {\nentry:\n  %0 = bogus 1\n  ret\n}\n", 3,
+     "unknown mnemonic 'bogus'"},
+    {"func @f() {\nentry:\n  %0 =\n}\n", 3, "unknown mnemonic ''"},
+    {"func @f() {\na:\n  ret\nentry :\n}\n", 4, "unknown mnemonic 'entry'"},
+    {"func @f() {\nentry:\n  ret\nfunc @g() {\n", 4, "unknown mnemonic 'func'"},
+    {"func @f() {\nentry:\n  %0 = add %1,\n  ret\n}\n", 3, "empty operand"},
+    {"func @f() {\nentry:\n  %0 = add %1, , 2\n  ret\n}\n", 3,
+     "empty operand"},
+    // Precedence: any line's error beats every check after '}', a
+    // duplicate label beats an unknown one, and the first unknown label in
+    // text order is the one named.
+    {"func @f() {\nentry:\n  jmp zz\nb:\n  %0 = bogus\n}\n", 5,
+     "unknown mnemonic 'bogus'"},
+    {"func @f() {\na:\n  jmp zz\na:\n  ret\n}\n", 7,
+     "duplicate block label 'a'"},
+    {"func @f() {\na:\n  jmp b\nb:\n  br %0, zz, yy\nc:\n  jmp xx\n}\n", 5,
+     "unknown block label 'zz'"},
+    {"func @f() {\nentry:\n  jmp x\n}\n\nfunc @g() {\n}\n", 3,
+     "unknown block label 'x'"},
+    // Quirks kept: the text after the first '=' is the instruction, the
+    // mnemonic ends at the first space, and a bad register is a label.
+    {"func @f() {\nentry:\n  %1 = %2 = add %0, 1\n}\n", 3,
+     "unknown mnemonic '%2'"},
+    {"func @f() {\nentry:\n  %2 = add\t%1, %0\n}\n", 3,
+     "unknown mnemonic 'add\t%1,'"},
+    {"func @f() {\nentry:\n  ret %-1\n}\n", 3, "unknown block label '%-1'"},
+    {"func @f() {\nentry:\n  ret %x\n}\n", 3, "unknown block label '%x'"},
+    {"func @f() {\nentry:\n  ret 0x10\n}\n", 3, "unknown block label '0x10'"},
+};
+
+TEST(TextFormat, DiagnosticsKeepTheirLineAndMessage) {
+  for (const Diagnosed& row : kDiagnostics) {
+    ParseError err;
+    EXPECT_FALSE(parse_module(row.text, &err).has_value()) << row.text;
+    EXPECT_EQ(err.line, row.line) << row.text;
+    EXPECT_EQ(err.message, row.message) << row.text;
+  }
+}
+
+TEST(TextFormat, ParseFunctionWantsExactlyOneFunction) {
+  for (const char* text :
+       {"", "ref @a -> @b\n",
+        "func @a() {\nentry:\n  ret\n}\nfunc @b() {\nentry:\n  ret\n}\n"}) {
+    ParseError err;
+    EXPECT_FALSE(parse_function(text, &err).has_value()) << text;
+    EXPECT_EQ(err.line, 0u) << text;
+    EXPECT_EQ(err.message, "expected exactly one function") << text;
+  }
+}
+
+struct Accepted {
+  const char* text;
+  const char* printed;
+};
+
+// Texts that parse, with the canonical text they print as.
+constexpr Accepted kAccepted[] = {
+    // strtoll's leading white space and sign are kept inside a register.
+    {"func @f(%+1) {\nentry:\n  %+5 = add % 1, %\t2\n  ret %5\n}\n",
+     "func @f(%1) {\nentry:\n  %5 = add %1, %2\n  ret %5\n}\n"},
+    {"func @f() {\nentry:\n  %0 = const +7\n  ret %0\n}\n",
+     "func @f() {\nentry:\n  %0 = const 7\n  ret %0\n}\n"},
+    // Comments, blank lines, CRLF and free spacing.
+    {"; lead\n\n func @ f ( %0 , %1 ) { ; c\r\nentry: ; c\r\n\n"
+     "   %2   =   add   %0 ,  %1  \r\n  ret %2\n}\r\n\n",
+     "func @f(%0, %1) {\nentry:\n  %2 = add %0, %1\n  ret %2\n}\n"},
+    // Labels are any text ending in ':' with no space; references are
+    // printed after the functions; duplicate references fold.
+    {"ref @b -> @a\nref @b -> @a\nfunc @a() {\nx=y:\n  jmp x=y\n}\n",
+     "func @a() {\nx=y:\n  jmp x=y\n}\n\nref @b -> @a\n"},
+    // Register and immediate tokens interleaved with targets.
+    {"func @f(%0) {\na:\n  br a, %0, b\nb:\n  ret\n}\n",
+     "func @f(%0) {\na:\n  br %0, a, b\nb:\n  ret\n}\n"},
+    // Out of range: a register past 2^32 - 2 wraps, an immediate past
+    // int64 saturates.
+    {"func @f(%0) {\nentry:\n  %4294967296 = add %0, 1\n  ret %0\n}\n",
+     "func @f(%0) {\nentry:\n  %0 = add %0, 1\n  ret %0\n}\n"},
+    {"func @f(%0) {\nentry:\n  %1 = add %4294967297, 1\n  ret %1\n}\n",
+     "func @f(%0) {\nentry:\n  %1 = add %1, 1\n  ret %1\n}\n"},
+    {"func @f(%4294967296) {\nentry:\n  ret %0\n}\n",
+     "func @f(%0) {\nentry:\n  ret %0\n}\n"},
+    {"func @f(%0) {\nentry:\n"
+     "  %1 = add %0, 99999999999999999999\n  ret %1\n}\n",
+     "func @f(%0) {\nentry:\n"
+     "  %1 = add %0, 9223372036854775807\n  ret %1\n}\n"},
+    {"func @f(%0) {\nentry:\n"
+     "  %1 = add %0, -99999999999999999999\n  ret %1\n}\n",
+     "func @f(%0) {\nentry:\n"
+     "  %1 = add %0, -9223372036854775808\n  ret %1\n}\n"},
+};
+
+TEST(TextFormat, AcceptedTextsPrintCanonically) {
+  for (const Accepted& row : kAccepted) {
+    ParseError err;
+    const auto m = parse_module(row.text, &err);
+    ASSERT_TRUE(m.has_value()) << row.text << "\n" << err.line << ": "
+                               << err.message;
+    EXPECT_EQ(to_string(*m), row.printed) << row.text;
+  }
+}
+
+}  // namespace
+}  // namespace tadfa::ir
