@@ -5,23 +5,42 @@
 namespace tadfa::ir {
 namespace {
 
-constexpr std::array<const char*, kNumOpcodes> kNames = {
+constexpr std::array<std::string_view, kNumOpcodes> kNames = {
     "const", "mov", "add", "sub", "mul",  "div",  "rem",  "and",  "or",
     "xor",   "shl", "shr", "neg", "not",  "min",  "max",  "cmpeq", "cmpne",
     "cmplt", "cmple", "cmpgt", "cmpge", "load", "store", "nop",  "br",
     "jmp",   "ret"};
+
+/// The first eight bytes of a name, zero-padded, as one integer.
+constexpr std::uint64_t pack(std::string_view s) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < s.size() && i < 8; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(s[i])} << (8 * i);
+  }
+  return v;
+}
+
+constexpr std::array<std::uint64_t, kNumOpcodes> kPacked = [] {
+  std::array<std::uint64_t, kNumOpcodes> packed{};
+  for (std::size_t i = 0; i < kNumOpcodes; ++i) {
+    packed[i] = pack(kNames[i]);
+  }
+  return packed;
+}();
 
 }  // namespace
 
 const char* opcode_name(Opcode op) {
   const auto i = static_cast<std::size_t>(op);
   TADFA_ASSERT(i < kNames.size());
-  return kNames[i];
+  return kNames[i].data();
 }
 
-std::optional<Opcode> opcode_from_name(const std::string& name) {
+std::optional<Opcode> opcode_from_name(std::string_view name) {
+  // One integer compare per opcode; the size check keeps "add\0" out.
+  const std::uint64_t key = pack(name);
   for (std::size_t i = 0; i < kNames.size(); ++i) {
-    if (name == kNames[i]) {
+    if (key == kPacked[i] && name.size() == kNames[i].size()) {
       return static_cast<Opcode>(i);
     }
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -67,7 +68,7 @@ inline constexpr std::size_t kNumOpcodes =
 const char* opcode_name(Opcode op);
 
 /// Parses a mnemonic; returns nullopt for unknown names.
-std::optional<Opcode> opcode_from_name(const std::string& name);
+std::optional<Opcode> opcode_from_name(std::string_view name);
 
 /// True for kBr/kJmp/kRet.
 bool is_terminator(Opcode op);

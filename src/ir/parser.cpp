@@ -1,52 +1,91 @@
 #include "ir/parser.hpp"
 
-#include <cctype>
-#include <map>
+#include <algorithm>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "support/string_utils.hpp"
 
 namespace tadfa::ir {
 namespace {
 
-// Pending instruction whose block targets are still names.
+constexpr std::size_t kNpos = std::string_view::npos;
+
+/// An instruction whose block targets are still label names. Its operands
+/// and names sit at [begin, end) of the parser's per-function scratch.
 struct PendingInstr {
   Opcode opcode;
-  Reg dest = kInvalidReg;
-  std::vector<Operand> operands;
-  std::vector<std::string> target_names;
-  std::size_t line = 0;
+  Reg dest;
+  std::size_t operands_begin, operands_end;
+  std::size_t targets_begin, targets_end;
+  std::size_t line;
 };
 
 struct PendingBlock {
-  std::string name;
-  std::vector<PendingInstr> instructions;
+  std::string_view name;
+  std::size_t instrs_begin;
 };
 
+enum class RegToken { kReg, kNotReg, kOutOfRange };
+
+/// Reads "%N" with N a register number, 0..2^32-2. A negative N or text
+/// that is no integer is not a register (an operand then reads as a
+/// label); an integer past that range is an error.
+RegToken parse_reg_token(std::string_view tok, Reg& out) {
+  if (tok.size() < 2 || tok[0] != '%') {
+    return RegToken::kNotReg;
+  }
+  long long v = 0;
+  const std::errc ec = scan_int(tok.substr(1), v);
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc{} && v >= static_cast<long long>(kInvalidReg))) {
+    return RegToken::kOutOfRange;
+  }
+  if (ec != std::errc{} || v < 0) {
+    return RegToken::kNotReg;
+  }
+  out = static_cast<Reg>(v);
+  return RegToken::kReg;
+}
+
+/// Calls `each` on every comma-separated field of `s`, empty ones
+/// included, until it returns false; returns whether none did.
+template <typename Each>
+bool for_each_field(std::string_view s, Each&& each) {
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = s.find(',', start);
+    if (!each(s.substr(start, comma - start))) {
+      return false;
+    }
+    if (comma == kNpos) {
+      return true;
+    }
+    start = comma + 1;
+  }
+}
+
+/// One pass over the caller's text: lines and tokens are views into it,
+/// and a function's instructions, operands and label names collect in
+/// scratch vectors that are reused for the next function. Labels resolve
+/// once the function's '}' is read.
 class Parser {
  public:
-  explicit Parser(const std::string& text) {
-    for (const std::string& raw : split(text, '\n')) {
-      std::string line = raw;
-      const std::size_t comment = line.find(';');
-      if (comment != std::string::npos) {
-        line.resize(comment);
-      }
-      lines_.push_back(line);
-    }
-  }
+  explicit Parser(std::string_view text) : text_(text) {}
 
   std::optional<Module> run(ParseError* error) {
     Module module;
-    while (!at_end()) {
-      skip_blank();
-      if (at_end()) {
-        break;
+    std::string_view line;
+    while (next_line(line)) {
+      if (line.empty()) {
+        continue;
       }
-      const bool is_ref = starts_with(trim(lines_[pos_]), "ref ");
-      if (!(is_ref ? parse_reference_into(module)
-                   : parse_function_into(module))) {
+      const bool ok = starts_with(line, "ref ")
+                          ? parse_reference(line, module)
+                          : parse_function(line, module);
+      if (!ok) {
         if (error != nullptr) {
-          *error = error_;
+          *error = std::move(error_);
         }
         return std::nullopt;
       }
@@ -55,38 +94,41 @@ class Parser {
   }
 
  private:
-  bool at_end() const { return pos_ >= lines_.size(); }
-
-  void skip_blank() {
-    while (!at_end() && trim(lines_[pos_]).empty()) {
-      ++pos_;
-    }
-  }
-
-  bool fail(const std::string& message) {
-    error_ = {pos_ + 1, message};
-    return false;
-  }
-
-  // Parses "%N", returns register number.
-  static bool parse_reg_token(std::string_view tok, Reg& out) {
-    if (tok.size() < 2 || tok[0] != '%') {
+  /// Reads the next line, cut at ';' and trimmed; false past the last
+  /// one. The text after the final '\n' is a line too, even when empty.
+  bool next_line(std::string_view& line) {
+    if (offset_ > text_.size()) {
       return false;
     }
-    long long v = 0;
-    if (!parse_int(tok.substr(1), v) || v < 0) {
-      return false;
-    }
-    out = static_cast<Reg>(v);
+    const std::size_t nl = text_.find('\n', offset_);
+    const std::size_t end = nl == kNpos ? text_.size() : nl;
+    line = text_.substr(offset_, end - offset_);
+    offset_ = end + 1;
+    ++line_no_;
+    line = trim(line.substr(0, line.find(';')));
     return true;
   }
 
+  bool fail(std::size_t line, std::string message) {
+    error_ = {line, std::move(message)};
+    return false;
+  }
+  bool fail(std::string message) { return fail(line_no_, std::move(message)); }
+
+  bool fail_range(std::string_view tok) {
+    return fail("number out of range '" + std::string(tok) + "'");
+  }
+
+  void note_reg(Reg r) {
+    max_reg_ = std::max(max_reg_, r);
+    any_reg_ = true;
+  }
+
   // "ref @from -> @to"
-  bool parse_reference_into(Module& module) {
-    std::string_view line = trim(lines_[pos_]);
+  bool parse_reference(std::string_view line, Module& module) {
     line.remove_prefix(4);  // "ref "
     const std::size_t arrow = line.find("->");
-    if (arrow == std::string_view::npos) {
+    if (arrow == kNpos) {
       return fail("expected 'ref @from -> @to'");
     }
     const std::string_view from = trim(line.substr(0, arrow));
@@ -94,192 +136,249 @@ class Parser {
     if (from.size() < 2 || from[0] != '@' || to.size() < 2 || to[0] != '@') {
       return fail("expected 'ref @from -> @to'");
     }
-    module.add_reference(std::string(from.substr(1)), std::string(to.substr(1)));
-    ++pos_;
+    module.add_reference(std::string(from.substr(1)),
+                         std::string(to.substr(1)));
     return true;
   }
 
-  bool parse_function_into(Module& module) {
-    std::string_view header = trim(lines_[pos_]);
+  bool parse_function(std::string_view header, Module& module) {
     if (!starts_with(header, "func @")) {
       return fail("expected 'func @name(...) {'");
     }
     header.remove_prefix(6);
     const std::size_t paren = header.find('(');
-    if (paren == std::string_view::npos) {
+    if (paren == kNpos) {
       return fail("missing '(' in function header");
     }
-    const std::string name(trim(header.substr(0, paren)));
+    const std::string_view name = trim(header.substr(0, paren));
     if (name.empty()) {
       return fail("empty function name");
     }
     const std::size_t close = header.find(')', paren);
-    if (close == std::string_view::npos) {
+    if (close == kNpos) {
       return fail("missing ')' in function header");
     }
     if (trim(header.substr(close + 1)) != "{") {
       return fail("expected '{' after parameter list");
     }
 
-    std::vector<Reg> params;
-    const std::string_view param_text = header.substr(paren + 1, close - paren - 1);
-    if (!trim(param_text).empty()) {
-      for (const std::string& p : split(param_text, ',')) {
-        Reg r = kInvalidReg;
-        if (!parse_reg_token(trim(p), r)) {
-          return fail("bad parameter '" + p + "'");
-        }
-        params.push_back(r);
-      }
+    params_.clear();
+    blocks_.clear();
+    instrs_.clear();
+    operands_.clear();
+    target_names_.clear();
+    max_reg_ = 0;
+    any_reg_ = false;
+    const std::string_view param_text =
+        header.substr(paren + 1, close - paren - 1);
+    if (!trim(param_text).empty() &&
+        !for_each_field(param_text, [&](std::string_view p) {
+          Reg r = kInvalidReg;
+          switch (parse_reg_token(trim(p), r)) {
+            case RegToken::kReg:
+              params_.push_back(r);
+              note_reg(r);
+              return true;
+            case RegToken::kOutOfRange:
+              return fail_range(trim(p));
+            case RegToken::kNotReg:
+              break;
+          }
+          return fail("bad parameter '" + std::string(p) + "'");
+        })) {
+      return false;
     }
-    ++pos_;
 
-    // Collect blocks until '}'.
-    std::vector<PendingBlock> pending;
     bool closed = false;
-    while (!at_end()) {
-      const std::string_view line = trim(lines_[pos_]);
+    std::string_view line;
+    while (next_line(line)) {
       if (line.empty()) {
-        ++pos_;
         continue;
       }
       if (line == "}") {
         closed = true;
-        ++pos_;
         break;
       }
-      if (line.back() == ':' && line.find(' ') == std::string_view::npos) {
-        pending.push_back({std::string(line.substr(0, line.size() - 1)), {}});
-        ++pos_;
+      if (line.back() == ':' && line.find(' ') == kNpos) {
+        blocks_.push_back({line.substr(0, line.size() - 1), instrs_.size()});
         continue;
       }
-      if (pending.empty()) {
+      if (blocks_.empty()) {
         return fail("instruction before first block label");
       }
-      PendingInstr instr;
-      if (!parse_instruction(line, instr)) {
+      if (!parse_instruction(line)) {
         return false;
       }
-      instr.line = pos_ + 1;
-      pending.back().instructions.push_back(std::move(instr));
-      ++pos_;
     }
+    // What is checked once the body is read is reported on the line after
+    // its '}', or after the last line.
+    const std::size_t after = line_no_ + 1;
     if (!closed) {
-      return fail("missing closing '}'");
+      return fail(after, "missing closing '}'");
     }
-    if (pending.empty()) {
-      return fail("function has no blocks");
+    if (blocks_.empty()) {
+      return fail(after, "function has no blocks");
     }
+    return resolve_labels(after) && materialize(name, module);
+  }
 
-    // Materialize.
-    Function& func = module.add_function(name);
-    std::map<std::string, BlockId> block_ids;
-    for (const PendingBlock& pb : pending) {
-      if (block_ids.count(pb.name) != 0) {
-        return fail("duplicate block label '" + pb.name + "'");
-      }
-      block_ids[pb.name] = func.add_block(pb.name);
-    }
-    Reg max_reg = 0;
-    bool any_reg = false;
-    auto note_reg = [&](Reg r) {
-      max_reg = std::max(max_reg, r);
-      any_reg = true;
-    };
-    for (Reg p : params) {
-      note_reg(p);
-    }
-    for (const PendingBlock& pb : pending) {
-      BasicBlock& block = func.block(block_ids[pb.name]);
-      for (const PendingInstr& pi : pending_instructions(pb)) {
-        std::vector<BlockId> targets;
-        for (const std::string& t : pi.target_names) {
-          auto it = block_ids.find(t);
-          if (it == block_ids.end()) {
-            error_ = {pi.line, "unknown block label '" + t + "'"};
-            return false;
-          }
-          targets.push_back(it->second);
+  bool parse_instruction(std::string_view line) {
+    // Optional "%N =" prefix: the text before the first '=', when it
+    // starts with '%'.
+    PendingInstr instr{};
+    instr.dest = kInvalidReg;
+    instr.line = line_no_;
+    std::string_view body = line;
+    if (const std::size_t eq = line.find('='); eq != kNpos) {
+      const std::string_view head = trim(line.substr(0, eq));
+      if (starts_with(head, "%")) {
+        switch (parse_reg_token(head, instr.dest)) {
+          case RegToken::kReg:
+            note_reg(instr.dest);
+            break;
+          case RegToken::kOutOfRange:
+            return fail_range(head);
+          case RegToken::kNotReg:
+            return fail("bad destination register");
         }
-        if (pi.dest != kInvalidReg) {
-          note_reg(pi.dest);
-        }
-        for (const Operand& op : pi.operands) {
-          if (op.is_reg()) {
-            note_reg(op.reg());
-          }
-        }
-        block.append(Instruction(pi.opcode, pi.dest, pi.operands, targets));
+        body = line.substr(eq + 1);
       }
     }
-    func.ensure_regs(any_reg ? max_reg + 1 : 0);
-    for (Reg p : params) {
+    body = trim(body);
+    const std::size_t sp = body.find(' ');
+    const std::string_view mnemonic = body.substr(0, sp);
+    const auto opcode = opcode_from_name(mnemonic);
+    if (!opcode) {
+      return fail("unknown mnemonic '" + std::string(mnemonic) + "'");
+    }
+    instr.opcode = *opcode;
+    instr.operands_begin = operands_.size();
+    instr.targets_begin = target_names_.size();
+    if (sp != kNpos &&
+        !for_each_field(body.substr(sp + 1), [&](std::string_view field) {
+          const std::string_view t = trim(field);
+          if (t.empty()) {
+            return fail("empty operand");
+          }
+          Reg r = kInvalidReg;
+          switch (parse_reg_token(t, r)) {
+            case RegToken::kReg:
+              operands_.push_back(Operand::reg(r));
+              note_reg(r);
+              return true;
+            case RegToken::kOutOfRange:
+              return fail_range(t);
+            case RegToken::kNotReg:
+              break;
+          }
+          long long imm = 0;
+          const std::errc ec = scan_int(t, imm);
+          if (ec == std::errc::result_out_of_range) {
+            return fail_range(t);
+          }
+          if (ec == std::errc{}) {
+            operands_.push_back(Operand::imm(imm));
+          } else {
+            target_names_.push_back(t);
+          }
+          return true;
+        })) {
+      return false;
+    }
+    instr.operands_end = operands_.size();
+    instr.targets_end = target_names_.size();
+    instrs_.push_back(instr);
+    return true;
+  }
+
+  /// Fills target_ids_ from target_names_, or reports the first duplicate
+  /// label in block order, else the first unknown one in text order.
+  bool resolve_labels(std::size_t after) {
+    labels_.clear();
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      labels_.emplace_back(blocks_[b].name, static_cast<BlockId>(b));
+    }
+    std::sort(labels_.begin(), labels_.end());
+    BlockId duplicate = kInvalidBlock;
+    for (std::size_t i = 1; i < labels_.size(); ++i) {
+      if (labels_[i].first == labels_[i - 1].first) {
+        duplicate = std::min(duplicate, labels_[i].second);
+      }
+    }
+    if (duplicate != kInvalidBlock) {
+      return fail(after, "duplicate block label '" +
+                             std::string(blocks_[duplicate].name) + "'");
+    }
+    target_ids_.clear();
+    for (const PendingInstr& pi : instrs_) {
+      for (std::size_t t = pi.targets_begin; t < pi.targets_end; ++t) {
+        const std::string_view name = target_names_[t];
+        const auto it = std::lower_bound(
+            labels_.begin(), labels_.end(), name,
+            [](const auto& label, std::string_view n) {
+              return label.first < n;
+            });
+        if (it == labels_.end() || it->first != name) {
+          return fail(pi.line,
+                      "unknown block label '" + std::string(name) + "'");
+        }
+        target_ids_.push_back(it->second);
+      }
+    }
+    return true;
+  }
+
+  bool materialize(std::string_view name, Module& module) {
+    Function& func = module.add_function(std::string(name));
+    func.blocks().reserve(blocks_.size());
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      BasicBlock& block =
+          func.block(func.add_block(std::string(blocks_[b].name)));
+      const std::size_t end = b + 1 < blocks_.size()
+                                  ? blocks_[b + 1].instrs_begin
+                                  : instrs_.size();
+      block.instructions().reserve(end - blocks_[b].instrs_begin);
+      for (std::size_t i = blocks_[b].instrs_begin; i < end; ++i) {
+        const PendingInstr& pi = instrs_[i];
+        block.append(Instruction(
+            pi.opcode, pi.dest,
+            std::vector<Operand>(operands_.begin() + pi.operands_begin,
+                                 operands_.begin() + pi.operands_end),
+            std::vector<BlockId>(target_ids_.begin() + pi.targets_begin,
+                                 target_ids_.begin() + pi.targets_end)));
+      }
+    }
+    func.ensure_regs(any_reg_ ? max_reg_ + 1 : 0);
+    for (Reg p : params_) {
       func.add_param_reg(p);
     }
     return true;
   }
 
-  static const std::vector<PendingInstr>& pending_instructions(
-      const PendingBlock& pb) {
-    return pb.instructions;
-  }
-
-  bool parse_instruction(std::string_view line, PendingInstr& out) {
-    // Optional "%N =" prefix.
-    std::string text(line);
-    std::vector<std::string> head = split(text, '=');
-    std::string body = text;
-    if (head.size() >= 2 && starts_with(trim(head[0]), "%")) {
-      Reg dest = kInvalidReg;
-      if (!parse_reg_token(trim(head[0]), dest)) {
-        return fail("bad destination register");
-      }
-      out.dest = dest;
-      body = text.substr(text.find('=') + 1);
-    }
-    const std::string_view trimmed = trim(body);
-    const std::size_t sp = trimmed.find(' ');
-    const std::string mnemonic(
-        sp == std::string_view::npos ? trimmed : trimmed.substr(0, sp));
-    const auto opcode = opcode_from_name(mnemonic);
-    if (!opcode) {
-      return fail("unknown mnemonic '" + mnemonic + "'");
-    }
-    out.opcode = *opcode;
-    if (sp != std::string_view::npos) {
-      for (const std::string& tok : split(std::string(trimmed.substr(sp + 1)), ',')) {
-        const std::string_view t = trim(tok);
-        if (t.empty()) {
-          return fail("empty operand");
-        }
-        Reg r = kInvalidReg;
-        long long imm = 0;
-        if (parse_reg_token(t, r)) {
-          out.operands.push_back(Operand::reg(r));
-        } else if (parse_int(t, imm)) {
-          out.operands.push_back(Operand::imm(imm));
-        } else {
-          out.target_names.emplace_back(t);
-        }
-      }
-    }
-    return true;
-  }
-
-  std::vector<std::string> lines_;
-  std::size_t pos_ = 0;
+  std::string_view text_;
+  std::size_t offset_ = 0;   // start of the next line; past the end when done
+  std::size_t line_no_ = 0;  // 1-based number of the line last read
   ParseError error_;
+
+  // Per-function scratch.
+  std::vector<Reg> params_;
+  std::vector<PendingBlock> blocks_;
+  std::vector<PendingInstr> instrs_;
+  std::vector<Operand> operands_;
+  std::vector<std::string_view> target_names_;
+  std::vector<BlockId> target_ids_;
+  std::vector<std::pair<std::string_view, BlockId>> labels_;
+  Reg max_reg_ = 0;
+  bool any_reg_ = false;
 };
 
 }  // namespace
 
-std::optional<Module> parse_module(const std::string& text,
-                                   ParseError* error) {
-  Parser parser(text);
-  return parser.run(error);
+std::optional<Module> parse_module(std::string_view text, ParseError* error) {
+  return Parser(text).run(error);
 }
 
-std::optional<Function> parse_function(const std::string& text,
+std::optional<Function> parse_function(std::string_view text,
                                        ParseError* error) {
   auto module = parse_module(text, error);
   if (!module) {

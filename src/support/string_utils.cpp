@@ -1,9 +1,18 @@
 #include "support/string_utils.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 
 namespace tadfa {
+namespace {
+
+/// std::isspace in the "C" locale, without the call.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+}  // namespace
 
 std::vector<std::string> split(std::string_view s, char delim) {
   std::vector<std::string> out;
@@ -21,11 +30,11 @@ std::vector<std::string> split_whitespace(std::string_view s) {
   std::vector<std::string> out;
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
+    while (i < s.size() && is_space(s[i])) {
       ++i;
     }
     const std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) {
+    while (i < s.size() && !is_space(s[i])) {
       ++i;
     }
     if (i > start) {
@@ -37,11 +46,11 @@ std::vector<std::string> split_whitespace(std::string_view s) {
 
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) {
+  while (b < s.size() && is_space(s[b])) {
     ++b;
   }
   std::size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) {
+  while (e > b && is_space(s[e - 1])) {
     --e;
   }
   return s.substr(b, e - b);
@@ -68,18 +77,34 @@ std::string join(const std::vector<std::string>& items,
   return out;
 }
 
+std::errc scan_int(std::string_view s, long long& out) {
+  std::size_t i = 0;
+  while (i < s.size() && is_space(s[i])) {
+    ++i;
+  }
+  const bool negative = i < s.size() && s[i] == '-';
+  if (i < s.size() && (s[i] == '-' || s[i] == '+')) {
+    ++i;
+  }
+  // Unsigned, so from_chars takes no second sign.
+  unsigned long long magnitude = 0;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data() + i, last, magnitude);
+  if (ec == std::errc::invalid_argument || end != last) {
+    return std::errc::invalid_argument;
+  }
+  constexpr auto kMax = static_cast<unsigned long long>(
+      std::numeric_limits<long long>::max());
+  if (ec != std::errc{} || magnitude > kMax + (negative ? 1 : 0)) {
+    return std::errc::result_out_of_range;
+  }
+  out = negative ? static_cast<long long>(0ull - magnitude)
+                 : static_cast<long long>(magnitude);
+  return std::errc{};
+}
+
 bool parse_int(std::string_view s, long long& out) {
-  if (s.empty()) {
-    return false;
-  }
-  std::string buf(s);
-  char* end = nullptr;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  out = v;
-  return true;
+  return scan_int(s, out) == std::errc{};
 }
 
 bool parse_double(std::string_view s, double& out) {

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace tadfa {
@@ -26,7 +27,14 @@ bool ends_with(std::string_view s, std::string_view suffix);
 std::string join(const std::vector<std::string>& items,
                  std::string_view separator);
 
-/// Parses a signed 64-bit integer; returns false on any trailing garbage.
+/// Reads a signed 64-bit decimal as strtoll does (leading white space and
+/// one sign allowed), with nothing after it. Returns std::errc{} with `out`
+/// set, invalid_argument when `s` is no such number, and
+/// result_out_of_range when it is one that does not fit.
+std::errc scan_int(std::string_view s, long long& out);
+
+/// Parses a signed 64-bit integer; returns false on any trailing garbage
+/// and on a value out of range.
 bool parse_int(std::string_view s, long long& out);
 
 /// Parses a double; returns false on any trailing garbage.

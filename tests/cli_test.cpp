@@ -146,6 +146,29 @@ TEST(CliTest, ArgumentCountMismatchFailsCleanly) {
   std::filesystem::remove(path);
 }
 
+// An integer past int64 once saturated to INT64_MAX: --args ran the
+// function on 9223372036854775807, and --seed and --max-queue took it.
+TEST(CliTest, IntegersPastInt64AreRejected) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tadfa-cli-test-int64-" + std::to_string(::getpid()) +
+                     ".texpr");
+  std::ofstream(path) << "fn h(a, b) { return a + b; }\n";
+  const RunResult r =
+      run_cli("--args=1,99999999999999999999 --no-map " + path.string());
+  ASSERT_TRUE(r.exited) << "CLI died of a signal";
+  EXPECT_EQ(r.status, 2);
+  EXPECT_NE(r.stderr_text.find("bad --args value '99999999999999999999'"),
+            std::string::npos)
+      << r.stderr_text;
+  std::filesystem::remove(path);
+
+  expect_usage_exit("--seed=99999999999999999999 crc32");
+  // The unknown machine name keeps a regression from serving forever.
+  expect_usage_exit(
+      "serve --socket=/nonexistent/tadfa.sock --machine=no-such-machine "
+      "--max-queue=99999999999999999999");
+}
+
 TEST(CliTest, KernelsFrontendKeepsKernelArguments) {
   // Naming the kernels frontend explicitly must not lose the kernel's
   // own arguments and memory image.

@@ -365,6 +365,34 @@ TEST_F(ServiceTest, OutOfRangeNopsAndDeepNestingGetErrors) {
   server.shutdown();
 }
 
+// kInvalidReg as a register number once failed an assertion inside the
+// parse, which runs on the request's connection thread: one request
+// killed the server.
+TEST_F(ServiceTest, OutOfRangeRegisterGetsErrorAndServerSurvives) {
+  service::CompileServer server(context(), config());
+  ASSERT_TRUE(server.start()) << server.error();
+
+  service::CompileRequest bad;
+  bad.spec = kSpec;
+  bad.module_text =
+      "func @f(%0) {\nentry:\n  %1 = add %0, %4294967295\n  ret %1\n}\n";
+  const auto r1 = roundtrip(config().socket_path, bad);
+  EXPECT_FALSE(r1.ok);
+  EXPECT_EQ(r1.code, service::ResponseCode::kError);
+  EXPECT_EQ(r1.error,
+            "module text line 3: number out of range '%4294967295'");
+
+  // The same server still compiles the next request.
+  service::CompileRequest valid = bad;
+  valid.module_text =
+      "func @f(%0) {\nentry:\n  %1 = add %0, %0\n  ret %1\n}\n";
+  const auto r2 = roundtrip(config().socket_path, valid);
+  EXPECT_TRUE(r2.ok) << r2.error;
+  ASSERT_EQ(r2.functions.size(), 1u);
+  EXPECT_TRUE(r2.functions[0].ok) << r2.functions[0].error;
+  server.shutdown();
+}
+
 TEST_F(ServiceTest, MalformedPayloadGetsErrorAndConnectionSurvives) {
   service::CompileServer server(context(), config());
   ASSERT_TRUE(server.start()) << server.error();
