@@ -219,7 +219,11 @@ class Parser {
     if (blocks_.empty()) {
       return fail(after, "function has no blocks");
     }
-    return resolve_labels(after) && materialize(name, module);
+    if (!resolve_labels(after)) {
+      return false;
+    }
+    materialize(name, module);
+    return true;
   }
 
   bool parse_instruction(std::string_view line) {
@@ -328,7 +332,7 @@ class Parser {
     return true;
   }
 
-  bool materialize(std::string_view name, Module& module) {
+  void materialize(std::string_view name, Module& module) {
     Function& func = module.add_function(std::string(name));
     func.blocks().reserve(blocks_.size());
     for (std::size_t b = 0; b < blocks_.size(); ++b) {
@@ -352,7 +356,6 @@ class Parser {
     for (Reg p : params_) {
       func.add_param_reg(p);
     }
-    return true;
   }
 
   std::string_view text_;
