@@ -425,6 +425,7 @@ void BM_PrintModule(benchmark::State& state) {
     const std::string text = ir::to_string(text_module());
     bytes = static_cast<std::int64_t>(text.size());
     benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * bytes);
 }

@@ -463,8 +463,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripTest,
 }  // namespace tadfa::ir
 
 // Pins of the text format: the printed bytes of a corpus, its round trip,
-// and every diagnostic the parser emits with its line, recorded from the
-// line-splitting parser and ostream printer the current ones replaced.
+// and every diagnostic the parser emits with its line. The digest and the
+// messages are cache and protocol contract (a stage record stores printed
+// text, a served error carries the diagnostic), so none may move.
 #include <algorithm>
 #include <iterator>
 
