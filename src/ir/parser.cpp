@@ -49,21 +49,27 @@ RegToken parse_reg_token(std::string_view tok, Reg& out) {
   return RegToken::kReg;
 }
 
-/// Calls `each` on every comma-separated field of `s`, empty ones
-/// included, until it returns false; returns whether none did.
-template <typename Each>
-bool for_each_field(std::string_view s, Each&& each) {
-  for (std::size_t start = 0;;) {
-    const std::size_t comma = s.find(',', start);
-    if (!each(s.substr(start, comma - start))) {
+/// The comma-separated fields of a string, empty ones included.
+class Fields {
+ public:
+  explicit Fields(std::string_view s) : rest_(s) {}
+
+  /// Sets `field` to the next field; false once every field was read.
+  bool next(std::string_view& field) {
+    if (done_) {
       return false;
     }
-    if (comma == kNpos) {
-      return true;
-    }
-    start = comma + 1;
+    const std::size_t comma = rest_.find(',');
+    field = rest_.substr(0, comma);
+    done_ = comma == kNpos;
+    rest_.remove_prefix(done_ ? rest_.size() : comma + 1);
+    return true;
   }
-}
+
+ private:
+  std::string_view rest_;
+  bool done_ = false;
+};
 
 /// One pass over the caller's text: lines and tokens are views into it,
 /// and a function's instructions, operands and label names collect in
@@ -171,22 +177,21 @@ class Parser {
     any_reg_ = false;
     const std::string_view param_text =
         header.substr(paren + 1, close - paren - 1);
-    if (!trim(param_text).empty() &&
-        !for_each_field(param_text, [&](std::string_view p) {
-          Reg r = kInvalidReg;
-          switch (parse_reg_token(trim(p), r)) {
-            case RegToken::kReg:
-              params_.push_back(r);
-              note_reg(r);
-              return true;
-            case RegToken::kOutOfRange:
-              return fail_range(trim(p));
-            case RegToken::kNotReg:
-              break;
-          }
-          return fail("bad parameter '" + std::string(p) + "'");
-        })) {
-      return false;
+    if (!trim(param_text).empty()) {
+      Fields fields(param_text);
+      for (std::string_view p; fields.next(p);) {
+        Reg r = kInvalidReg;
+        switch (parse_reg_token(trim(p), r)) {
+          case RegToken::kReg:
+            params_.push_back(r);
+            note_reg(r);
+            break;
+          case RegToken::kOutOfRange:
+            return fail_range(trim(p));
+          case RegToken::kNotReg:
+            return fail("bad parameter '" + std::string(p) + "'");
+        }
+      }
     }
 
     bool closed = false;
@@ -258,40 +263,46 @@ class Parser {
     instr.opcode = *opcode;
     instr.operands_begin = operands_.size();
     instr.targets_begin = target_names_.size();
-    if (sp != kNpos &&
-        !for_each_field(body.substr(sp + 1), [&](std::string_view field) {
-          const std::string_view t = trim(field);
-          if (t.empty()) {
-            return fail("empty operand");
-          }
-          Reg r = kInvalidReg;
-          switch (parse_reg_token(t, r)) {
-            case RegToken::kReg:
-              operands_.push_back(Operand::reg(r));
-              note_reg(r);
-              return true;
-            case RegToken::kOutOfRange:
-              return fail_range(t);
-            case RegToken::kNotReg:
-              break;
-          }
-          long long imm = 0;
-          const std::errc ec = scan_int(t, imm);
-          if (ec == std::errc::result_out_of_range) {
-            return fail_range(t);
-          }
-          if (ec == std::errc{}) {
-            operands_.push_back(Operand::imm(imm));
-          } else {
-            target_names_.push_back(t);
-          }
-          return true;
-        })) {
-      return false;
+    if (sp != kNpos) {
+      Fields fields(body.substr(sp + 1));
+      for (std::string_view field; fields.next(field);) {
+        if (!parse_operand(trim(field))) {
+          return false;
+        }
+      }
     }
     instr.operands_end = operands_.size();
     instr.targets_end = target_names_.size();
     instrs_.push_back(instr);
+    return true;
+  }
+
+  /// One operand: a register, an immediate, or else a label name.
+  bool parse_operand(std::string_view t) {
+    if (t.empty()) {
+      return fail("empty operand");
+    }
+    Reg r = kInvalidReg;
+    switch (parse_reg_token(t, r)) {
+      case RegToken::kReg:
+        operands_.push_back(Operand::reg(r));
+        note_reg(r);
+        return true;
+      case RegToken::kOutOfRange:
+        return fail_range(t);
+      case RegToken::kNotReg:
+        break;
+    }
+    long long imm = 0;
+    const std::errc ec = scan_int(t, imm);
+    if (ec == std::errc::result_out_of_range) {
+      return fail_range(t);
+    }
+    if (ec == std::errc{}) {
+      operands_.push_back(Operand::imm(imm));
+    } else {
+      target_names_.push_back(t);
+    }
     return true;
   }
 
