@@ -1,6 +1,7 @@
 #include "ir/parser.hpp"
 
 #include <algorithm>
+#include <map>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -24,8 +25,13 @@ struct PendingInstr {
 
 struct PendingBlock {
   std::string_view name;
-  std::size_t instrs_begin;
+  std::size_t size;  // instructions
 };
+
+template <typename T>
+std::vector<T> slice(const std::vector<T>& v, std::size_t b, std::size_t e) {
+  return std::vector<T>(v.begin() + b, v.begin() + e);
+}
 
 enum class RegToken { kReg, kNotReg, kOutOfRange };
 
@@ -86,10 +92,9 @@ class Parser {
       if (line.empty()) {
         continue;
       }
-      const bool ok = starts_with(line, "ref ")
-                          ? parse_reference(line, module)
-                          : parse_function(line, module);
-      if (!ok) {
+      const bool is_ref = starts_with(line, "ref ");
+      if (!(is_ref ? parse_reference(line, module)
+                   : parse_function(line, module))) {
         if (error != nullptr) {
           *error = std::move(error_);
         }
@@ -205,7 +210,7 @@ class Parser {
         break;
       }
       if (line.back() == ':' && line.find(' ') == kNpos) {
-        blocks_.push_back({line.substr(0, line.size() - 1), instrs_.size()});
+        blocks_.push_back({line.substr(0, line.size() - 1), 0});
         continue;
       }
       if (blocks_.empty()) {
@@ -274,6 +279,7 @@ class Parser {
     instr.operands_end = operands_.size();
     instr.targets_end = target_names_.size();
     instrs_.push_back(instr);
+    ++blocks_.back().size;
     return true;
   }
 
@@ -311,31 +317,18 @@ class Parser {
   bool resolve_labels(std::size_t after) {
     labels_.clear();
     for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      labels_.emplace_back(blocks_[b].name, static_cast<BlockId>(b));
-    }
-    std::sort(labels_.begin(), labels_.end());
-    BlockId duplicate = kInvalidBlock;
-    for (std::size_t i = 1; i < labels_.size(); ++i) {
-      if (labels_[i].first == labels_[i - 1].first) {
-        duplicate = std::min(duplicate, labels_[i].second);
+      if (!labels_.emplace(blocks_[b].name, static_cast<BlockId>(b)).second) {
+        const std::string label(blocks_[b].name);
+        return fail(after, "duplicate block label '" + label + "'");
       }
-    }
-    if (duplicate != kInvalidBlock) {
-      return fail(after, "duplicate block label '" +
-                             std::string(blocks_[duplicate].name) + "'");
     }
     target_ids_.clear();
     for (const PendingInstr& pi : instrs_) {
       for (std::size_t t = pi.targets_begin; t < pi.targets_end; ++t) {
-        const std::string_view name = target_names_[t];
-        const auto it = std::lower_bound(
-            labels_.begin(), labels_.end(), name,
-            [](const auto& label, std::string_view n) {
-              return label.first < n;
-            });
-        if (it == labels_.end() || it->first != name) {
-          return fail(pi.line,
-                      "unknown block label '" + std::string(name) + "'");
+        const auto it = labels_.find(target_names_[t]);
+        if (it == labels_.end()) {
+          const std::string label(target_names_[t]);
+          return fail(pi.line, "unknown block label '" + label + "'");
         }
         target_ids_.push_back(it->second);
       }
@@ -346,21 +339,16 @@ class Parser {
   void materialize(std::string_view name, Module& module) {
     Function& func = module.add_function(std::string(name));
     func.blocks().reserve(blocks_.size());
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      BasicBlock& block =
-          func.block(func.add_block(std::string(blocks_[b].name)));
-      const std::size_t end = b + 1 < blocks_.size()
-                                  ? blocks_[b + 1].instrs_begin
-                                  : instrs_.size();
-      block.instructions().reserve(end - blocks_[b].instrs_begin);
-      for (std::size_t i = blocks_[b].instrs_begin; i < end; ++i) {
+    std::size_t i = 0;
+    for (const PendingBlock& pb : blocks_) {
+      const BlockId id = func.add_block(std::string(pb.name));
+      BasicBlock& block = func.block(id);
+      block.instructions().reserve(pb.size);
+      for (const std::size_t end = i + pb.size; i < end; ++i) {
         const PendingInstr& pi = instrs_[i];
-        block.append(Instruction(
-            pi.opcode, pi.dest,
-            std::vector<Operand>(operands_.begin() + pi.operands_begin,
-                                 operands_.begin() + pi.operands_end),
-            std::vector<BlockId>(target_ids_.begin() + pi.targets_begin,
-                                 target_ids_.begin() + pi.targets_end)));
+        auto ops = slice(operands_, pi.operands_begin, pi.operands_end);
+        auto ids = slice(target_ids_, pi.targets_begin, pi.targets_end);
+        block.append({pi.opcode, pi.dest, std::move(ops), std::move(ids)});
       }
     }
     func.ensure_regs(any_reg_ ? max_reg_ + 1 : 0);
@@ -381,7 +369,7 @@ class Parser {
   std::vector<Operand> operands_;
   std::vector<std::string_view> target_names_;
   std::vector<BlockId> target_ids_;
-  std::vector<std::pair<std::string_view, BlockId>> labels_;
+  std::map<std::string_view, BlockId> labels_;
   Reg max_reg_ = 0;
   bool any_reg_ = false;
 };

@@ -93,13 +93,15 @@ std::errc scan_int(std::string_view s, long long& out) {
   if (ec == std::errc::invalid_argument || end != last) {
     return std::errc::invalid_argument;
   }
-  constexpr auto kMax = static_cast<unsigned long long>(
-      std::numeric_limits<long long>::max());
+  constexpr auto kMax =
+      static_cast<unsigned long long>(std::numeric_limits<long long>::max());
   if (ec != std::errc{} || magnitude > kMax + (negative ? 1 : 0)) {
     return std::errc::result_out_of_range;
   }
-  out = negative ? static_cast<long long>(0ull - magnitude)
-                 : static_cast<long long>(magnitude);
+  if (negative) {
+    magnitude = 0ull - magnitude;  // two's complement: 2^63 is INT64_MIN
+  }
+  out = static_cast<long long>(magnitude);
   return std::errc{};
 }
 
