@@ -4,9 +4,13 @@
 // primitives (thermal step, steady state, leakage, liveness, allocation).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -16,7 +20,9 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "pipeline/analysis_manager.hpp"
+#include "pipeline/driver.hpp"
 #include "pipeline/pass_manager.hpp"
+#include "pipeline/result_cache.hpp"
 #include "support/rng.hpp"
 #include "workload/modules.hpp"
 
@@ -430,5 +436,53 @@ void BM_PrintModule(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_PrintModule)->Unit(benchmark::kMicrosecond);
+
+// --- Warm edit-aware resubmit -------------------------------------------------
+// One unchanged resubmit of the same module through an edit-aware driver
+// at jobs=2 with stage snapshots on, as `tadfa serve --incremental` runs
+// it: graph build and record read, 24 cache probes and restores, and no
+// record writes. One cold compile before timing fills a cache in a temp
+// directory. Reports wall time and functions/s, since the two workers
+// run off the timing thread.
+
+void BM_WarmResubmit(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  // `tadfa`'s default: the paper's Sec. 4 flow.
+  constexpr const char* kSpec =
+      "alloc=linear:first_free,thermal-dfa,split-hot=1,spill-critical=1,"
+      "alloc=coloring:coolest_first,schedule";
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tadfa-bench-warm-resubmit-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    pipeline::PipelineContext ctx;
+    ctx.floorplan = &rig().fp;
+    ctx.grid = &rig().grid;
+    ctx.power = &rig().power;
+    pipeline::ResultCache cache(dir.string());
+    pipeline::CompilationDriver driver(ctx);
+    driver.set_jobs(2);
+    driver.set_result_cache(&cache);
+    driver.set_edit_aware(true);
+    driver.set_stage_policy(pipeline::StagePolicy{.enabled = true});
+    const ir::Module& module = text_module();
+    const std::size_t n = module.functions().size();
+    if (!driver.compile(module, kSpec).ok) {
+      state.SkipWithError("cold compile failed");
+    }
+    for (auto _ : state) {
+      const auto result = driver.compile(module, kSpec);
+      if (result.cache_hits() != n) {
+        state.SkipWithError("warm resubmit missed the cache");
+        break;
+      }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+  }
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_WarmResubmit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

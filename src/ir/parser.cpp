@@ -210,6 +210,9 @@ class Parser {
         break;
       }
       if (line.back() == ':' && line.find(' ') == kNpos) {
+        if (line.size() == 1) {
+          return fail("empty block label");
+        }
         blocks_.push_back({line.substr(0, line.size() - 1), 0});
         continue;
       }

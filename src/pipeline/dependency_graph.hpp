@@ -15,8 +15,8 @@
 // recompiled.
 //
 // The graph is stored beside ResultCache entries as a TADFADG1 record
-// (see ResultCache::insert_graph) and rewritten atomically after every
-// edit-aware compile.
+// (see ResultCache::insert_graph), rewritten atomically by an edit-aware
+// compile whose read was not a clean hit or whose graph changed.
 #pragma once
 
 #include <cstdint>

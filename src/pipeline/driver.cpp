@@ -174,6 +174,7 @@ ModulePipelineResult CompilationDriver::compile(
   std::vector<std::uint64_t> env_for;
   std::vector<const DependencyNode*> node_for;
   bool degraded = false;
+  bool graph_unchanged = false;  // a clean hit equal to now_graph
   CacheKey graph_key;
   if (edit_aware) {
     now_graph = DependencyGraph::build(module);
@@ -190,6 +191,7 @@ ModulePipelineResult CompilationDriver::compile(
         auto parsed = DependencyGraph::deserialize(r);
         if (parsed.has_value() && r.remaining() == 0) {
           before = std::move(*parsed);
+          graph_unchanged = before == now_graph;
         } else {
           // The record checksum held but the payload does not decode —
           // an encoding skew inside a valid envelope. Same verdict.
@@ -365,7 +367,11 @@ ModulePipelineResult CompilationDriver::compile(
   // the next resubmission diffs against what was just compiled. Also
   // the recovery path out of a degraded run. Skipped on failure: a
   // half-failed module must not present its fingerprints as compiled.
-  if (edit_aware && result.ok) {
+  // Skipped when the read was a clean hit of this very graph: the
+  // serialization is canonical, so the write would put the same bytes
+  // under the same key, and the read already refreshed the record's LRU
+  // order and mtime.
+  if (edit_aware && result.ok && !graph_unchanged) {
     ByteWriter w;
     now_graph.serialize(w);
     try {

@@ -5,6 +5,8 @@
 // purely a wall-clock optimization.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -189,7 +191,9 @@ TEST_F(DriverTest, CacheFaultsDegradeToMissesInsteadOfTerminating) {
   // a cache whose every touch throws must complete — byte-identical to
   // an uncached compile — with the faults visible in the counters.
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "tadfa-driver-fault-cache";
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tadfa-driver-fault-cache-" + std::to_string(::getpid()));
   fs::remove_all(dir);
   const ir::Module module = test_module(10);
 
@@ -228,7 +232,9 @@ TEST_F(DriverTest, CacheDirectoryRemovedMidCompileStillCompletes) {
   // after must degrade gracefully and the module must still come out
   // byte-identical to the cold run.
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "tadfa-driver-vanish-cache";
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tadfa-driver-vanish-cache-" + std::to_string(::getpid()));
   fs::remove_all(dir);
   const ir::Module module = test_module(10);
 

@@ -4,13 +4,18 @@
 // that function plus its transitive dependents (everything else restores
 // warm, byte-identical to a from-scratch compile of the edited module); a
 // corrupt, truncated, or throwing graph record degrades to a conservative
-// whole-module recompile — flagged, counted, never a wrong answer; and
-// concurrent edit-resubmits over one shared cache stay deterministic (this
-// suite runs under TSan).
+// whole-module recompile — flagged, counted, never a wrong answer; an
+// unchanged resubmit writes no record; and concurrent edit-resubmits over
+// one shared cache stay deterministic (this suite runs under TSan).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -66,7 +71,8 @@ struct EditInvalidationTest : ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir = fs::temp_directory_path() /
-          (std::string("tadfa-edit-invalidation-test-") + info->name());
+          (std::string("tadfa-edit-invalidation-test-") + info->name() +
+           "-" + std::to_string(::getpid()));
     fs::remove_all(dir);
   }
   void TearDown() override {
@@ -257,6 +263,55 @@ TEST_F(EditInvalidationTest, ResubmitRecompilesOnlyEditedAndDependents) {
     }
   }
   expect_identical(resubmit, cold_reference(edited));
+}
+
+TEST_F(EditInvalidationTest, UnchangedResubmitWritesNoRecord) {
+  // An unchanged resubmit only reads: no record file appears, goes or
+  // changes, and the graph record is not rewritten. Its read still
+  // refreshes the record's mtime, the on-disk LRU stamp. Checked with
+  // and without stage snapshots (the `serve --incremental` setting).
+  auto entry_files = [this] {
+    std::map<fs::path, std::string> files;
+    for (const auto& e : fs::recursive_directory_iterator(dir)) {
+      if (e.is_regular_file() && e.path().extension() == ".entry") {
+        std::ifstream in(e.path(), std::ios::binary);
+        files[e.path()].assign(std::istreambuf_iterator<char>(in), {});
+      }
+    }
+    return files;
+  };
+  for (const bool staged : {false, true}) {
+    SCOPED_TRACE(staged ? "stage policy on" : "stage policy off");
+    fs::remove_all(dir);
+    pipeline::ResultCache cache(dir.string());
+    ASSERT_TRUE(cache.ok());
+    auto driver = edit_driver(&cache);
+    if (staged) {
+      driver.set_stage_policy(pipeline::StagePolicy{.enabled = true});
+    }
+    ASSERT_TRUE(driver.compile(chain_module(), kSpec).ok);
+
+    const auto records = graph_record_files();
+    ASSERT_EQ(records.size(), 1u);
+    const fs::path graph = records[0];
+    const auto backdated =
+        fs::file_time_type::clock::now() - std::chrono::hours(1);
+    fs::last_write_time(graph, backdated);
+    const auto files = entry_files();
+    const std::uint64_t stores = cache.stats().graph_stores;
+
+    const auto warm = driver.compile(chain_module(), kSpec);
+    ASSERT_TRUE(warm.ok);
+    EXPECT_EQ(warm.cache_hits(), warm.functions.size());
+    EXPECT_EQ(entry_files(), files);
+    EXPECT_EQ(cache.stats().graph_stores, stores);
+    EXPECT_GT(fs::last_write_time(graph), backdated);
+
+    // An edit changes the graph: exactly one more store, new bytes.
+    ASSERT_TRUE(driver.compile(chain_module(9), kSpec).ok);
+    EXPECT_EQ(cache.stats().graph_stores, stores + 1);
+    EXPECT_NE(entry_files().at(graph), files.at(graph));
+  }
 }
 
 TEST_F(EditInvalidationTest, EditAwareMatchesColdAtAnyJobCount) {

@@ -10,6 +10,8 @@
 // "default" machine keeps every key minted before the matrix existed).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -227,7 +229,8 @@ struct GridCacheTest : ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir = fs::temp_directory_path() /
-          (std::string("tadfa-grid-test-") + info->name());
+          (std::string("tadfa-grid-test-") + info->name() + "-" +
+           std::to_string(::getpid()));
     fs::remove_all(dir);
   }
   void TearDown() override { fs::remove_all(dir); }

@@ -7,6 +7,8 @@
 // stage entries degrade to a clean full recompile, never wrong output.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -47,7 +49,8 @@ struct IncrementalTest : ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir = fs::temp_directory_path() /
-          (std::string("tadfa-incremental-test-") + info->name());
+          (std::string("tadfa-incremental-test-") + info->name() + "-" +
+           std::to_string(::getpid()));
     fs::remove_all(dir);
   }
   void TearDown() override {

@@ -652,6 +652,8 @@ constexpr Diagnosed kDiagnostics[] = {
     {"func @f() {\nentry:\n  ret", 4, "missing closing '}'"},
     {"func @f() {\n}\n", 3, "function has no blocks"},
     {"func @f() {\n\n  ret\n}\n", 3, "instruction before first block label"},
+    {"func @f(%0) {\n:\n  jmp bb0\nbb0:\n  ret %0\n}\n", 2,
+     "empty block label"},
     {"func @f() {\na:\n  ret\na:\n  ret\n}\n", 7, "duplicate block label 'a'"},
     {"func @f() {\na:\n  ret\nb:\n  ret\nb:\n  ret\n}\n\nfunc @g() {\n", 9,
      "duplicate block label 'b'"},

@@ -10,6 +10,8 @@
 // cold run at any job count.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -44,7 +46,8 @@ struct ResultCacheTest : ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir = fs::temp_directory_path() /
-          (std::string("tadfa-result-cache-test-") + info->name());
+          (std::string("tadfa-result-cache-test-") + info->name() + "-" +
+           std::to_string(::getpid()));
     fs::remove_all(dir);
   }
   void TearDown() override { fs::remove_all(dir); }
@@ -623,8 +626,9 @@ TEST_F(ResultCacheTest, GraphRecordRoundTripsAndCorruptionDegrades) {
   EXPECT_EQ(hit.status, pipeline::ResultCache::GraphReadStatus::kHit);
   EXPECT_EQ(hit.payload, payload);
 
-  // Overwrite is the normal case: every edit-aware compile rewrites the
-  // slot. The accounting swaps the old bytes for the new.
+  // Overwrite is the normal case: an edit-aware compile rewrites the
+  // slot when its read was not a clean hit or the graph changed. The
+  // accounting swaps the old bytes for the new.
   const std::string payload2 = payload + " (rewritten)";
   ASSERT_TRUE(cache.insert_graph(key, payload2));
   EXPECT_EQ(cache.lookup_graph(key).payload, payload2);

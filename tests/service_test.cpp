@@ -64,7 +64,8 @@ struct ServiceTest : ::testing::Test {
   std::string socket_path() const {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     return (std::filesystem::temp_directory_path() /
-            (std::string("tadfa-svc-") + info->name() + ".sock"))
+            (std::string("tadfa-svc-") + info->name() + "-" +
+             std::to_string(::getpid()) + ".sock"))
         .string();
   }
 
@@ -226,7 +227,8 @@ TEST_F(ServiceTest, ConcurrentClientsGetByteIdenticalResults) {
   // must match a direct single-threaded compile of that module.
   namespace fs = std::filesystem;
   const fs::path cache_dir =
-      fs::temp_directory_path() / "tadfa-svc-concurrent-cache";
+      fs::temp_directory_path() /
+      ("tadfa-svc-concurrent-cache-" + std::to_string(::getpid()));
   fs::remove_all(cache_dir);
 
   service::ServerConfig cfg = config();
@@ -282,7 +284,8 @@ TEST_F(ServiceTest, ConcurrentClientsGetByteIdenticalResults) {
 
 TEST_F(ServiceTest, WarmRequestsHitAtLeast95Percent) {
   namespace fs = std::filesystem;
-  const fs::path cache_dir = fs::temp_directory_path() / "tadfa-svc-warm";
+  const fs::path cache_dir = fs::temp_directory_path() /
+                             ("tadfa-svc-warm-" + std::to_string(::getpid()));
   fs::remove_all(cache_dir);
   service::ServerConfig cfg = config();
   cfg.cache_dir = cache_dir.string();
