@@ -116,22 +116,4 @@ inline std::string fmt(double v, int precision = 3) {
   return TextTable::num(v, precision);
 }
 
-/// Escapes a string for embedding in a JSON string literal (shared by
-/// the BENCH_*.json artifact writers).
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
-/// count/seconds with a guard against a ~zero denominator.
-inline double per_sec(std::size_t count, double seconds) {
-  return static_cast<double>(count) / (seconds > 0 ? seconds : 1e-12);
-}
-
 }  // namespace tadfa::bench

@@ -30,18 +30,14 @@ NopInsertResult insert_cooling_nops(const ir::Function& func,
             });
 
   for (const ir::InstrRef& ref : sites) {
-    ir::BasicBlock& block = result.func.block(ref.block);
-    if (ref.index >= block.size()) {
+    auto& insts = result.func.block(ref.block).instructions();
+    if (ref.index >= insts.size() || insts[ref.index].is_terminator()) {
       continue;
     }
-    if (block.instructions()[ref.index].is_terminator()) {
-      continue;
-    }
-    for (int n = 0; n < nops_per_site; ++n) {
-      block.insert(ref.index + 1,
-                   ir::Instruction(ir::Opcode::kNop, ir::kInvalidReg, {}));
-      ++result.nops_inserted;
-    }
+    insts.insert(insts.begin() + static_cast<std::ptrdiff_t>(ref.index) + 1,
+                 static_cast<std::size_t>(nops_per_site),
+                 ir::Instruction(ir::Opcode::kNop, ir::kInvalidReg, {}));
+    result.nops_inserted += static_cast<std::size_t>(nops_per_site);
   }
   return result;
 }

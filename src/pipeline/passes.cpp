@@ -26,7 +26,6 @@
 // LoopInfo, block frequencies) survive every rewrite; liveness-class
 // analyses survive only passes that did not touch the instruction stream.
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -340,6 +339,10 @@ PassOutcome run_schedule(PipelineState& state, const PipelineContext&) {
 
 // --- nops[=per_site[:threshold_k]] ------------------------------------------
 
+// A served request carries its own spec, and each hot site grows the
+// function by per_site instructions, so the count is bounded at the seam.
+constexpr int kMaxNopsPerSite = 64;
+
 PassOutcome run_nops(PipelineState& state, int per_site,
                      std::optional<double> threshold_k) {
   const auto* dfa = state.dfa();
@@ -551,7 +554,8 @@ void register_builtin_passes(PassRegistry& registry) {
 
   registry.register_pass(
       "nops",
-      "nops[=per_site[:threshold_k]]: cooling NOPs after hot instructions",
+      "nops[=per_site[:threshold_k]]: cooling NOPs after hot instructions "
+      "(per_site 1-64)",
       [](const PassSpec& spec, std::string* error) -> std::unique_ptr<Pass> {
         int per_site = 4;
         std::optional<double> threshold_k;
@@ -560,8 +564,7 @@ void register_builtin_passes(PassRegistry& registry) {
         }
         if (!spec.args.empty()) {
           std::size_t n = 0;
-          if (!parse_count(spec.args[0], n) ||
-              n > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+          if (!parse_count(spec.args[0], n) || n > kMaxNopsPerSite) {
             return fail(error, "bad nops per_site '" + spec.args[0] + "'");
           }
           per_site = static_cast<int>(n);

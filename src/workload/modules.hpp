@@ -5,8 +5,7 @@
 // giving the CompilationDriver a realistic spread of sizes, register
 // pressures, and control-flow shapes. Generation is fully deterministic
 // in (seed, index): the same config always produces the byte-identical
-// module, which the parallel-determinism tests and throughput bench rely
-// on.
+// module, which the parallel-determinism tests and perfbench rely on.
 #pragma once
 
 #include <cstdint>

@@ -137,6 +137,22 @@ void expect_identical(const pipeline::ModulePipelineResult& a,
   }
 }
 
+/// Bumps the first immediate operand of `func` by one: the smallest
+/// verifier-clean edit that changes ir::fingerprint.
+bool bump_first_immediate(ir::Function& func) {
+  for (ir::BasicBlock& block : func.blocks()) {
+    for (ir::Instruction& inst : block.instructions()) {
+      for (ir::Operand& op : inst.operands()) {
+        if (op.is_imm()) {
+          op = ir::Operand::imm(op.imm() + 1);
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 // ------------------------------------------------- graph construction ----
 
 TEST(DependencyGraph, BuildsSortedNodesWithClosures) {
@@ -322,7 +338,27 @@ TEST_F(EditInvalidationTest, EditAwareMatchesColdAtAnyJobCount) {
   const ir::Module module = workload::make_mixed_module(cfg);
   const auto reference = cold_reference(module);
   ASSERT_TRUE(reference.ok);
+
+  // A local edit: the function with the fewest transitive dependents (at
+  // least one; ties go to the first name) gets its first immediate bumped.
+  const auto graph = pipeline::DependencyGraph::build(module);
+  std::string target;
+  std::size_t dependents = 0;
+  for (const pipeline::DependencyNode& node : graph.nodes()) {
+    const std::size_t n = graph.dependents_of(node.name).size();
+    if (n > 0 && (target.empty() || n < dependents)) {
+      target = node.name;
+      dependents = n;
+    }
+  }
+  ASSERT_FALSE(target.empty());
+  ir::Module edited = module;
+  ASSERT_TRUE(bump_first_immediate(*edited.find(target)));
+  const auto edited_reference = cold_reference(edited);
+  ASSERT_TRUE(edited_reference.ok);
+
   for (const unsigned jobs : {1u, 8u}) {
+    SCOPED_TRACE(jobs);
     const fs::path jdir = dir / ("jobs-" + std::to_string(jobs));
     pipeline::ResultCache cache(jdir.string());
     ASSERT_TRUE(cache.ok());
@@ -334,6 +370,14 @@ TEST_F(EditInvalidationTest, EditAwareMatchesColdAtAnyJobCount) {
     ASSERT_TRUE(warm.ok);
     EXPECT_EQ(warm.cache_hits(), warm.functions.size());
     expect_identical(warm, reference);
+
+    // The edit recompiles exactly the edited function and its dependents.
+    const auto resubmit = driver.compile(edited, kSpec);
+    ASSERT_TRUE(resubmit.ok);
+    EXPECT_EQ(resubmit.functions.size() - resubmit.cache_hits(),
+              1 + dependents);
+    EXPECT_EQ(resubmit.invalidated_by_edge(), dependents);
+    expect_identical(resubmit, edited_reference);
   }
 }
 

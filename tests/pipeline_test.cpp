@@ -212,9 +212,9 @@ TEST_F(PipelineTest, RejectsBadPassArguments) {
   EXPECT_FALSE(manager().run(kernel->func, "alloc=linear:hottest_last").ok);
   EXPECT_FALSE(manager().run(kernel->func, "split-hot=0").ok);
   EXPECT_FALSE(manager().run(kernel->func, "nops=zero").ok);
-  // Counts past INT_MAX are rejected up front, not narrowed into a failed
-  // assertion once nops' prerequisites are met.
-  for (const char* count : {"2147483648", "4294967296"}) {
+  // Counts past 64 per site are rejected up front: a larger count grows
+  // the function without bound, and one past INT_MAX would be narrowed.
+  for (const char* count : {"65", "2147483647", "2147483648", "4294967296"}) {
     const std::string spec =
         std::string("alloc=linear:first_free,thermal-dfa,nops=") + count;
     const auto run = manager().run(kernel->func, spec);
@@ -222,6 +222,8 @@ TEST_F(PipelineTest, RejectsBadPassArguments) {
     EXPECT_NE(run.error.find("bad nops per_site"), std::string::npos)
         << run.error;
   }
+  const std::string at_max = "alloc=linear:first_free,thermal-dfa,nops=64";
+  EXPECT_TRUE(manager().run(kernel->func, at_max).ok);
   EXPECT_FALSE(manager().run(kernel->func, "cse=3").ok);
 }
 

@@ -339,13 +339,18 @@ TEST_F(ServiceTest, OutOfRangeNopsAndDeepNestingGetErrors) {
   service::CompileServer server(context(), config());
   ASSERT_TRUE(server.start()) << server.error();
 
-  // A nops count past INT_MAX is a spec error, not a failed assertion.
-  service::CompileRequest huge_nops;
-  huge_nops.spec = "alloc=linear:first_free,thermal-dfa,nops=2147483648";
-  huge_nops.kernels = {"crc32"};
-  const auto r1 = roundtrip(config().socket_path, huge_nops);
-  EXPECT_FALSE(r1.ok);
-  EXPECT_NE(r1.error.find("bad nops per_site"), std::string::npos) << r1.error;
+  // A nops count past 64 per site is a spec error: INT_MAX would ask for
+  // about 10^11 instructions, and one past it once failed an assertion.
+  const std::string nops_spec = "alloc=linear:first_free,thermal-dfa,nops=";
+  for (const char* count : {"2147483647", "2147483648"}) {
+    service::CompileRequest huge_nops;
+    huge_nops.spec = nops_spec + count;
+    huge_nops.kernels = {"crc32"};
+    const auto r1 = roundtrip(config().socket_path, huge_nops);
+    EXPECT_FALSE(r1.ok);
+    EXPECT_NE(r1.error.find("bad nops per_site"), std::string::npos)
+        << r1.error;
+  }
 
   // Source nested past the parser's limit is a parse error, not a stack
   // overflow.
